@@ -62,21 +62,6 @@ impl Runtime {
         Runtime { localities, cost }
     }
 
-    /// Build exactly one locality of an SPMD world — the federated
-    /// construction path, where each engine lane owns only its own rank.
-    /// Identical per-locality recipe to [`Runtime::new`]: the same
-    /// `rank` with the same `cfg`/`registry` yields a locality
-    /// indistinguishable from `Runtime::new(..).locality(rank)`.
-    pub fn single_locality(
-        rank: usize,
-        cfg: &RuntimeConfig,
-        cost: Rc<CostModel>,
-        registry: ActionRegistry,
-    ) -> Rc<Locality> {
-        assert!(rank < cfg.localities, "rank {rank} outside the {}-locality world", cfg.localities);
-        Locality::new(rank, cost, cfg.workers.clone(), registry, cfg.layer.clone())
-    }
-
     /// Locality by id.
     pub fn locality(&self, id: usize) -> &Rc<Locality> {
         &self.localities[id]

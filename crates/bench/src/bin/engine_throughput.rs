@@ -28,10 +28,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use simcore::{
-    EventHandler, EventId, HandlerId, LaneCtx, LaneId, RunMode, ShardActor, ShardEventId,
-    ShardedSim, Sim, SimTime,
-};
+use simcore::{EventHandler, EventId, HandlerId, Sim, SimTime};
 
 // ---------------------------------------------------------------------
 // Counting allocator: every heap alloc in the process goes through here.
@@ -116,11 +113,6 @@ impl Lcg {
 /// mirroring the parcel layer's flush-window timer: re-armed on every
 /// tick, it only fires once the actor goes quiet.
 const TIMEOUT_AHEAD: u64 = 16 * 1024;
-
-/// Conservative lookahead of the sharded runs: the expanse wire's one-way
-/// propagation latency (`netsim::WireModel::expanse().latency_ns`) — the
-/// minimum distance any cross-locality delivery keeps from `now`.
-const SHARD_LOOKAHEAD: u64 = 1_000;
 
 // ---------------------------------------------------------------------
 // Baseline: replica of the seed engine (BinaryHeap + boxed closures).
@@ -361,216 +353,6 @@ fn run_engine(ticks: u64) -> (Rc<NewWorkload>, Sim) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded engine: the same fig1-shaped mix on `simcore::ShardedSim`,
-// one lane per actor, deliveries crossing lanes through the wire (and so
-// through the cross-shard mailboxes whenever the lanes live apart).
-// ---------------------------------------------------------------------
-
-struct ShardTick {
-    rng: Lcg,
-    /// Deliveries go to the next lane in the ring — cross-shard for every
-    /// round-robin placement with more than one shard.
-    peer: LaneId,
-    budget: u64,
-    ticks_done: u64,
-    deliveries: u64,
-    timeout: Option<ShardEventId>,
-    timeouts_fired: u64,
-}
-
-impl ShardActor for ShardTick {
-    fn on_event(&mut self, ctx: &mut LaneCtx<'_>, arg: u64) {
-        match arg & 0b11 {
-            EV_TICK => {
-                if self.budget == 0 {
-                    return;
-                }
-                self.budget -= 1;
-                self.ticks_done += 1;
-                let tick_d = self.rng.tick_delta();
-                let deliver_d = self.rng.deliver_delta();
-                let now = ctx.now();
-                // The delivery rides the wire: one propagation latency
-                // (the lookahead) plus the jitter the 1-engine run uses.
-                ctx.send(self.peer, now + SHARD_LOOKAHEAD + deliver_d, EV_DELIVER);
-                let moved = self.timeout.map(|ev| ctx.reschedule(ev, now + TIMEOUT_AHEAD));
-                if moved != Some(true) {
-                    self.timeout = Some(ctx.schedule_at(now + TIMEOUT_AHEAD, EV_TIMEOUT));
-                }
-                ctx.schedule_at(now + tick_d, EV_TICK);
-            }
-            EV_DELIVER => self.deliveries += 1,
-            EV_TIMEOUT => {
-                self.timeout = None;
-                self.timeouts_fired += 1;
-            }
-            _ => unreachable!("unknown event tag"),
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// Build the 64-lane workload on `shards` shards (round-robin placement),
-/// `ticks_per_lane` ticks each, seeded identically to the 1-engine run.
-fn build_sharded(shards: usize, ticks_per_lane: u64, capture: bool) -> ShardedSim {
-    let mut sim = ShardedSim::new(shards, SHARD_LOOKAHEAD);
-    if capture {
-        sim.set_exec_capture(true);
-    }
-    for i in 0..ACTORS {
-        let lane = sim.add_actor(
-            i % shards,
-            Box::new(ShardTick {
-                rng: Lcg(0x9E37_79B9_7F4A_7C15 ^ ((i as u64) << 17)),
-                peer: LaneId(((i + 1) % ACTORS) as u32),
-                budget: ticks_per_lane,
-                ticks_done: 0,
-                deliveries: 0,
-                timeout: None,
-                timeouts_fired: 0,
-            }),
-        );
-        assert_eq!(lane.0 as usize, i);
-    }
-    for i in 0..ACTORS {
-        sim.seed(LaneId(i as u32), SimTime::from_nanos(i as u64), EV_TICK);
-    }
-    sim
-}
-
-/// Workload self-check: every tick ran, every delivery landed, every
-/// armed timeout fired exactly once.
-fn check_sharded(sim: &ShardedSim, ticks_per_lane: u64) {
-    let mut ticks = 0u64;
-    let mut deliveries = 0u64;
-    let mut timeouts = 0u64;
-    for i in 0..ACTORS {
-        let a = sim.actor::<ShardTick>(LaneId(i as u32)).expect("actor present");
-        ticks += a.ticks_done;
-        deliveries += a.deliveries;
-        timeouts += a.timeouts_fired;
-    }
-    assert_eq!(ticks, ticks_per_lane * ACTORS as u64, "sharded workload self-check: ticks");
-    assert_eq!(deliveries, ticks, "sharded workload self-check: deliveries");
-    assert_eq!(timeouts, ACTORS as u64, "each lane's single timeout fires once");
-}
-
-struct ShardedRun {
-    shards: usize,
-    mode: RunMode,
-    m: Measured,
-}
-
-/// One measured sharded run. The executor is `ShardedSim::run`'s own
-/// choice (threads when the host has them, sequential otherwise) — the
-/// numbers describe what a user of the engine actually gets on this host.
-fn run_sharded_perf(shards: usize, total_ticks: u64) -> ShardedRun {
-    let ticks_per_lane = total_ticks / ACTORS as u64;
-    let mut sim = build_sharded(shards, ticks_per_lane, false);
-    let mut mode = RunMode::Sequential;
-    let m = measure(ticks_per_lane * ACTORS as u64, || {
-        let report = sim.run();
-        mode = report.mode;
-        (report.executed, report.end.as_nanos())
-    });
-    check_sharded(&sim, ticks_per_lane);
-    ShardedRun { shards, mode, m }
-}
-
-/// Hard determinism gate: the canonical digest of the sharded workload
-/// must be identical at every shard count (the 1-shard run is the
-/// reference semantics). Uses a smaller tick budget — capture allocates —
-/// and, when the host has threads, checks the threaded executor too.
-fn check_sharded_determinism() -> bool {
-    const DET_TICKS_PER_LANE: u64 = 1_000;
-    let mut reference = build_sharded(1, DET_TICKS_PER_LANE, true);
-    reference.run_sequential();
-    let want = reference.digest();
-    let mut ok = true;
-    for &shards in &[2usize, 4, 8] {
-        let mut seq = build_sharded(shards, DET_TICKS_PER_LANE, true);
-        seq.run_sequential();
-        if seq.digest() != want {
-            eprintln!("DETERMINISM VIOLATION: {shards} shards (sequential) diverged from 1 shard");
-            ok = false;
-        }
-        let mut thr = build_sharded(shards, DET_TICKS_PER_LANE, true);
-        thr.run_threaded();
-        if thr.digest() != want {
-            eprintln!("DETERMINISM VIOLATION: {shards} shards (threaded) diverged from 1 shard");
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// Steady-state allocation check for the sharded engine, O(1)-style:
-/// doubling the event count must not grow the allocation count beyond a
-/// small constant slack (slab/mailbox/scratch reuse means the extra
-/// events recycle storage). Returns `(allocs_1x, growth)`.
-fn sharded_alloc_growth(shards: usize) -> (u64, i64) {
-    const BASE_TICKS_PER_LANE: u64 = 2_000;
-    let run = |ticks: u64| -> u64 {
-        let mut sim = build_sharded(shards, ticks, false);
-        let a0 = allocs();
-        sim.run();
-        allocs() - a0
-    };
-    // Warm the allocator's size classes so neither measured run pays
-    // one-time global growth.
-    run(BASE_TICKS_PER_LANE);
-    let one = run(BASE_TICKS_PER_LANE);
-    let two = run(2 * BASE_TICKS_PER_LANE);
-    (one, two as i64 - one as i64)
-}
-
-// ---------------------------------------------------------------------
-// Sharded world: the real parcelport workloads on the federated engine
-// (one lane per locality over N shards), wall-clock vs. the 1-shard run.
-// ---------------------------------------------------------------------
-
-/// One scenario point on the federated world's scaling curve.
-struct WorldPoint {
-    scenario: &'static str,
-    shards: usize,
-    m: Measured,
-}
-
-/// Fig1-shaped message-rate run (2 localities) on the sharded world.
-/// Asserts the virtual-time result matches the legacy single-heap run —
-/// the determinism contract, enforced here so a perf regression hunt can
-/// never chase a semantically different workload.
-fn run_world_fig1(shards: usize, legacy_done: SimTime) -> Measured {
-    measure_workload(|| {
-        let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
-        p.total_msgs = 20_000;
-        let r = bench::run_msgrate_sharded(&p, shards, None);
-        assert!(r.completed, "sharded fig1 workload must complete");
-        assert_eq!(r.comm_done, legacy_done, "sharded fig1 diverged from the single-heap run");
-        (r.events_executed, r.comm_done.as_nanos())
-    })
-}
-
-/// Octotiger level-4 run (4 localities) on the sharded world; same
-/// equality contract against the legacy run.
-fn run_world_octo(shards: usize, legacy_total: SimTime) -> Measured {
-    measure_workload(|| {
-        let mut p = octotiger_mini::OctoParams::expanse("lci_psr_cq_pin_i".parse().unwrap(), 4);
-        p.level = 4;
-        p.steps = 2;
-        p.cores = 8;
-        let r = octotiger_mini::run_octotiger_sharded(&p, shards, None);
-        assert!(r.completed, "sharded octotiger workload must complete");
-        assert!(r.mass_ok, "sharded octotiger invariant violated");
-        assert_eq!(r.total, legacy_total, "sharded octotiger diverged from the single-heap run");
-        (r.events_executed, r.total.as_nanos())
-    })
-}
-
-// ---------------------------------------------------------------------
 // Reporting.
 // ---------------------------------------------------------------------
 
@@ -656,7 +438,11 @@ fn json_block(m: &Measured) -> String {
 }
 
 fn main() {
-    println!("engine_throughput: {ACTORS} actors, {TICKS} logical ticks (+{WARMUP} warmup)");
+    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    println!(
+        "engine_throughput: {ACTORS} actors, {TICKS} logical ticks (+{WARMUP} warmup), \
+         host CPUs: {host_cpus}"
+    );
     println!();
 
     // --- baseline (seed engine replica) ---
@@ -709,16 +495,13 @@ fn main() {
     }
 
     // --- real-workload trajectory points (current engine only) ---
-    let mut fig1_done = SimTime::ZERO;
     let fig1 = measure_workload(|| {
         let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
         p.total_msgs = 20_000;
         let r = bench::run_msgrate(&p);
         assert!(r.completed, "fig1-style workload must complete");
-        fig1_done = r.comm_done;
         (r.events_executed, r.comm_done.as_nanos())
     });
-    let mut octo_total = SimTime::ZERO;
     let octo = measure_workload(|| {
         let mut p = octotiger_mini::OctoParams::expanse("lci_psr_cq_pin_i".parse().unwrap(), 4);
         p.level = 4;
@@ -726,89 +509,7 @@ fn main() {
         p.cores = 8;
         let r = octotiger_mini::run_octotiger(&p);
         assert!(r.completed, "octotiger workload must complete");
-        octo_total = r.total;
         (r.events_executed, r.total.as_nanos())
-    });
-
-    // --- sharded engine: scaling curve + determinism + O(1) allocs ---
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let sharded_deterministic = check_sharded_determinism();
-    let sharded: Vec<ShardedRun> =
-        [1usize, 2, 4, 8].iter().map(|&s| run_sharded_perf(s, TICKS)).collect();
-    let ticks_1shard = sharded[0].m.ticks_per_sec;
-    let speedup_4shard = sharded[2].m.ticks_per_sec / ticks_1shard;
-    let (alloc_1x_1s, alloc_growth_1s) = sharded_alloc_growth(1);
-    let (alloc_1x_4s, alloc_growth_4s) = sharded_alloc_growth(4);
-    /// Doubling the workload may add at most this many allocations
-    /// (thread spawns and one-time growth are constant; events recycle).
-    const ALLOC_GROWTH_SLACK: i64 = 512;
-    let sharded_allocs_ok =
-        alloc_growth_1s <= ALLOC_GROWTH_SLACK && alloc_growth_4s <= ALLOC_GROWTH_SLACK;
-    // The wall-clock speedup gate only means something when the host can
-    // actually run shards in parallel; on a single-CPU host the engine
-    // (correctly) picks the sequential executor, so only determinism and
-    // allocation behaviour are gated there. Floors: >= 2x at 4 shards on
-    // a >= 4-CPU host, >= 1x on any multi-CPU host.
-    let sharded_speedup_ok = if host_cpus >= 4 {
-        speedup_4shard >= 2.0
-    } else if host_cpus > 1 {
-        speedup_4shard >= 1.0
-    } else {
-        true
-    };
-
-    // --- sharded world: real workloads on the federated engine ---
-    // fig1 has 2 localities (so 2 lanes max), octotiger-L4 has 4; each
-    // point re-runs the full build + run and must reproduce the legacy
-    // virtual-time result exactly (asserted inside the runners).
-    let mut world: Vec<WorldPoint> = Vec::new();
-    for &s in &[1usize, 2] {
-        world.push(WorldPoint {
-            scenario: "fig1_msgrate_8b",
-            shards: s,
-            m: run_world_fig1(s, fig1_done),
-        });
-    }
-    for &s in &[1usize, 2, 4] {
-        world.push(WorldPoint {
-            scenario: "octotiger_level4",
-            shards: s,
-            m: run_world_octo(s, octo_total),
-        });
-    }
-    let world_base = |scenario: &str| {
-        world
-            .iter()
-            .find(|p| p.scenario == scenario && p.shards == 1)
-            .map(|p| p.m.wall_ms)
-            .unwrap_or(f64::NAN)
-    };
-    let world_speedup = |p: &WorldPoint| world_base(p.scenario) / p.m.wall_ms;
-    let world_octo_4shard_speedup = world
-        .iter()
-        .find(|p| p.scenario == "octotiger_level4" && p.shards == 4)
-        .map(world_speedup)
-        .unwrap_or(f64::NAN);
-    // Same host-conditionality as the engine gate: wall-clock speedup of
-    // the federated world only means something when the host can run the
-    // lanes in parallel.
-    let world_speedup_ok = if host_cpus >= 4 { world_octo_4shard_speedup >= 2.0 } else { true };
-    // Sharded-world allocation ceilings. fig1's sharded count matches the
-    // legacy run (~161k): the steady-state per-message path is identical
-    // and the federated build overhead is noise. octotiger pays ~4x the
-    // legacy build (each of the 4 lanes rebuilds the full tree, SFC
-    // partition and app states — per-lane replication is the federation
-    // design, there is no shared heap to point into); measured 1.42M at
-    // every shard count. Headroom ~25-30% over measured.
-    const FIG1_SHARDED_ALLOC_CEILING: u64 = 210_000;
-    const OCTO_SHARDED_ALLOC_CEILING: u64 = 1_800_000;
-    let world_allocs_ok = world.iter().all(|p| {
-        p.m.allocations
-            <= if p.scenario == "fig1_msgrate_8b" {
-                FIG1_SHARDED_ALLOC_CEILING
-            } else {
-                OCTO_SHARDED_ALLOC_CEILING
-            }
     });
 
     // Per-scenario allocation ceilings, pinned from the audited counts
@@ -824,14 +525,7 @@ fn main() {
 
     let speedup = eng.ticks_per_sec / base.ticks_per_sec;
     let zero_hot_allocs = hot_allocs == 0;
-    let pass = speedup >= THRESHOLD
-        && zero_hot_allocs
-        && sharded_deterministic
-        && sharded_allocs_ok
-        && sharded_speedup_ok
-        && workload_allocs_ok
-        && world_speedup_ok
-        && world_allocs_ok;
+    let pass = speedup >= THRESHOLD && zero_hot_allocs && workload_allocs_ok;
 
     println!("baseline (BinaryHeap + boxed closures, stale timeouts):");
     println!("  events executed   {:>12}", base.events);
@@ -859,55 +553,6 @@ fn main() {
         octo.events_per_sec, octo.sim_ns_per_wall_ms, octo.allocations
     );
     println!();
-    println!(
-        "sharded engine ({ACTORS} lanes, lookahead {SHARD_LOOKAHEAD} ns, host CPUs: {host_cpus}):"
-    );
-    for r in &sharded {
-        println!(
-            "  {} shard{} [{}]: {:>11.0} ticks/sec  {:>11.0} events/sec  speedup {:>5.2}x",
-            r.shards,
-            if r.shards == 1 { " " } else { "s" },
-            match r.mode {
-                RunMode::Sequential => "seq",
-                RunMode::Threaded => "thr",
-            },
-            r.m.ticks_per_sec,
-            r.m.events_per_sec,
-            r.m.ticks_per_sec / ticks_1shard,
-        );
-    }
-    println!(
-        "  determinism (digest, 1 vs 2/4/8 shards, seq+thr): {}",
-        if sharded_deterministic { "ok" } else { "VIOLATED" }
-    );
-    println!(
-        "  alloc growth on 2x events: 1-shard {alloc_growth_1s:+} (of {alloc_1x_1s}), \
-         4-shard {alloc_growth_4s:+} (of {alloc_1x_4s})  [slack {ALLOC_GROWTH_SLACK}]"
-    );
-    if host_cpus == 1 {
-        println!("  speedup gate skipped: single-CPU host (sequential executor selected)");
-    }
-    println!();
-    println!("sharded world (one lane per locality, real parcelport workloads):");
-    for p in &world {
-        println!(
-            "  {:<18} {} shard{}: {:>8.1} ms wall  {:>11.0} events/sec  speedup {:>5.2}x  \
-             {} allocs",
-            p.scenario,
-            p.shards,
-            if p.shards == 1 { " " } else { "s" },
-            p.m.wall_ms,
-            p.m.events_per_sec,
-            world_speedup(p),
-            p.m.allocations,
-        );
-    }
-    println!(
-        "  octotiger 4-shard speedup: {world_octo_4shard_speedup:.2}x{}  world allocs: {}",
-        if host_cpus >= 4 { " (gate: >= 2x)" } else { " (gate skipped: < 4 host CPUs)" },
-        if world_allocs_ok { "ok" } else { "CEILING EXCEEDED" },
-    );
-    println!();
     println!("speedup (logical ticks/sec): {speedup:.2}x  (threshold {THRESHOLD}x)");
     println!("hot-path allocations: {hot_allocs} (must be 0)");
     println!(
@@ -917,88 +562,17 @@ fn main() {
     println!("peak heap: {} bytes", peak_bytes());
     println!("result: {}", if pass { "PASS" } else { "FAIL" });
 
-    let sharded_configs: String = sharded
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "      {{\n",
-                    "        \"shards\": {},\n",
-                    "        \"mode\": \"{}\",\n",
-                    "        \"events_executed\": {},\n",
-                    "        \"wall_ms\": {:.3},\n",
-                    "        \"events_per_sec\": {:.0},\n",
-                    "        \"logical_ticks_per_sec\": {:.0},\n",
-                    "        \"speedup_vs_1shard\": {:.3}\n",
-                    "      }}"
-                ),
-                r.shards,
-                match r.mode {
-                    RunMode::Sequential => "sequential",
-                    RunMode::Threaded => "threaded",
-                },
-                r.m.events,
-                r.m.wall_ms,
-                r.m.events_per_sec,
-                r.m.ticks_per_sec,
-                r.m.ticks_per_sec / ticks_1shard,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let world_configs: String = world
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "      {{\n",
-                    "        \"scenario\": \"{}\",\n",
-                    "        \"shards\": {},\n",
-                    "        \"events_executed\": {},\n",
-                    "        \"wall_ms\": {:.3},\n",
-                    "        \"events_per_sec\": {:.0},\n",
-                    "        \"allocations\": {},\n",
-                    "        \"speedup_vs_1shard\": {:.3}\n",
-                    "      }}"
-                ),
-                p.scenario,
-                p.shards,
-                p.m.events,
-                p.m.wall_ms,
-                p.m.events_per_sec,
-                p.m.allocations,
-                world_speedup(p),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
         concat!(
             "{{\n",
             "  \"benchmark\": \"engine_throughput\",\n",
+            "  \"host_cpus\": {},\n",
             "  \"actors\": {},\n",
             "  \"logical_ticks\": {},\n",
             "  \"baseline\": {},\n",
             "  \"engine\": {},\n",
             "  \"fig1_msgrate_8b\": {},\n",
             "  \"octotiger_level4\": {},\n",
-            "  \"sharded\": {{\n",
-            "    \"host_cpus\": {},\n",
-            "    \"lookahead_ns\": {},\n",
-            "    \"deterministic\": {},\n",
-            "    \"alloc_growth_2x_1shard\": {},\n",
-            "    \"alloc_growth_2x_4shard\": {},\n",
-            "    \"speedup_4shard_vs_1shard\": {:.3},\n",
-            "    \"configs\": [\n{}\n    ]\n",
-            "  }},\n",
-            "  \"world_sharded\": {{\n",
-            "    \"fig1_alloc_ceiling\": {},\n",
-            "    \"octo_alloc_ceiling\": {},\n",
-            "    \"octo_speedup_4shard_vs_1shard\": {:.3},\n",
-            "    \"speedup_ok\": {},\n",
-            "    \"allocs_ok\": {},\n",
-            "    \"configs\": [\n{}\n    ]\n",
-            "  }},\n",
             "  \"speedup_ticks_per_sec\": {:.3},\n",
             "  \"threshold\": {},\n",
             "  \"hot_path_allocations\": {},\n",
@@ -1006,25 +580,13 @@ fn main() {
             "  \"pass\": {}\n",
             "}}\n"
         ),
+        host_cpus,
         ACTORS,
         TICKS,
         json_block(&base),
         json_block(&eng),
         json_workload_block(&fig1, FIG1_ALLOC_CEILING),
         json_workload_block(&octo, OCTO_ALLOC_CEILING),
-        host_cpus,
-        SHARD_LOOKAHEAD,
-        sharded_deterministic,
-        alloc_growth_1s,
-        alloc_growth_4s,
-        speedup_4shard,
-        sharded_configs,
-        FIG1_SHARDED_ALLOC_CEILING,
-        OCTO_SHARDED_ALLOC_CEILING,
-        world_octo_4shard_speedup,
-        world_speedup_ok,
-        world_allocs_ok,
-        world_configs,
         speedup,
         THRESHOLD,
         hot_allocs,

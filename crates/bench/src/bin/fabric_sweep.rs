@@ -297,15 +297,6 @@ fn run_sweep(
 
 fn main() {
     let targs = TraceArgs::parse();
-    if targs.sharding_active() {
-        // The sweep drives the netsim switch model directly — there is no
-        // World/Locality layer to federate, so the engine flags are
-        // accepted (shared parser) but the run stays single-lane.
-        println!(
-            "note: --shards/--run-mode accepted but fabric_sweep has no world to shard; \
-             running single-lane"
-        );
-    }
     let mut sink = TraceSink::new(&targs, "fabric_sweep");
     let scale = bench_scale();
     let msgs_per_node = ((200.0 * scale) as usize).max(10);

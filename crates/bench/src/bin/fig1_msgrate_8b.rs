@@ -15,21 +15,9 @@ use bench::cli::{dispatch, instrumented_for, TraceArgs};
 use bench::report::{fmt_kps, Table};
 use bench::trace::TraceSink;
 use bench::{
-    bench_scale, injection_grid_8b, run_msgrate, run_msgrate_sharded, sweep_injection_with,
-    whatif_json, whatif_sweep, whatif_text, MsgRateParams, MsgRateResult,
+    bench_scale, injection_grid_8b, run_msgrate, sweep_injection, whatif_json, whatif_sweep,
+    whatif_text, MsgRateParams,
 };
-
-/// Route one run through the engine the command line asked for:
-/// `--shards`/`--run-mode` select the sharded world, anything else the
-/// legacy single-heap world (byte-identical results either way — that's
-/// the determinism contract the golden tests pin).
-fn run_one(targs: &TraceArgs, p: &MsgRateParams) -> MsgRateResult {
-    if targs.sharding_active() {
-        run_msgrate_sharded(p, targs.shard_count(), targs.engine_mode())
-    } else {
-        run_msgrate(p)
-    }
-}
 
 /// The configuration nominated for the `--trace` Chrome export (the
 /// paper's best performer).
@@ -50,7 +38,7 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64, configs: &[&str]) {
             if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
                 p.cost = Some(cost);
             }
-            run_one(targs, &p)
+            run_msgrate(&p)
         });
         println!("{c}: rate {} flows {}", fmt_kps(r.msg_rate), tel.flow_count());
         sink.emit(&tel, c, *c == TRACE_CONFIG);
@@ -99,13 +87,6 @@ fn main() {
     }
     println!("Figure 1: achieved message rate (K/s), 8B messages, batch 100");
     println!("(rows: attempted injection rate; columns: achieved injection / message rate)");
-    if targs.sharding_active() {
-        println!(
-            "engine: sharded world, {} shard(s){}",
-            targs.shard_count(),
-            targs.run_mode.as_deref().map(|m| format!(", {m} executor")).unwrap_or_default()
-        );
-    }
     println!();
     let mut header = vec!["attempted".to_string()];
     for c in configs {
@@ -118,7 +99,7 @@ fn main() {
     for c in configs {
         let mut p = MsgRateParams::small(c.parse().unwrap());
         p.total_msgs = (100_000f64 * scale) as usize;
-        sweeps.push(sweep_injection_with(&p, &grid, |p| run_one(&targs, p)));
+        sweeps.push(sweep_injection(&p, &grid));
     }
     for (i, &rate) in grid.iter().enumerate() {
         let mut row = vec![bench::fmt_rate(rate)];

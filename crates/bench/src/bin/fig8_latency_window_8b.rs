@@ -24,22 +24,10 @@ use bench::cli::{dispatch, instrumented_for, TraceArgs};
 use bench::report::{fmt_us, Table};
 use bench::trace::TraceSink;
 use bench::{
-    bench_scale, five_mechanism_attribution, run_latency, run_latency_sharded, whatif_json,
-    whatif_latency, whatif_text, LatencyParams, LatencyResult,
+    bench_scale, five_mechanism_attribution, run_latency, whatif_json, whatif_latency, whatif_text,
+    LatencyParams,
 };
 use parcelport::PpConfig;
-
-/// Route one run through the engine the command line asked for:
-/// `--shards`/`--run-mode` select the sharded world, anything else the
-/// legacy single-heap world (identical results by the determinism
-/// contract).
-fn run_one(targs: &TraceArgs, p: &LatencyParams) -> LatencyResult {
-    if targs.sharding_active() {
-        run_latency_sharded(p, targs.shard_count(), targs.engine_mode())
-    } else {
-        run_latency(p)
-    }
-}
 
 /// The configuration nominated for the `--trace` Chrome export.
 const TRACE_CONFIG: &str = "lci_psr_cq_pin_i";
@@ -64,7 +52,7 @@ fn instrumented_pass(targs: &TraceArgs, scale: f64) {
             if targs.apply_dials(&mut p.config, &mut cost, &mut p.wire) {
                 p.cost = Some(cost);
             }
-            run_one(targs, &p)
+            run_latency(&p)
         });
         let name = cfg.to_string();
         println!("{name}: one-way {} flows {}", fmt_us(r.one_way_us), tel.flow_count());
@@ -98,13 +86,6 @@ fn main() {
         return;
     }
     println!("Figure 8: one-way latency (us) of 8B messages vs window size");
-    if targs.sharding_active() {
-        println!(
-            "engine: sharded world, {} shard(s){}",
-            targs.shard_count(),
-            targs.run_mode.as_deref().map(|m| format!(", {m} executor")).unwrap_or_default()
-        );
-    }
     println!();
     let mut header = vec!["config".to_string()];
     header.extend(windows.iter().map(|w| format!("w{w}")));
@@ -115,7 +96,7 @@ fn main() {
             let mut p = LatencyParams::new(cfg, 8);
             p.window = w;
             p.steps = ((400f64 * scale) as usize).max(40);
-            let r = run_one(&targs, &p);
+            let r = run_latency(&p);
             row.push(format!("{}{}", fmt_us(r.one_way_us), if r.completed { "" } else { "*" }));
         }
         t.row(row);

@@ -64,25 +64,6 @@ fn main() {
     }
     let base = load(&paths[0]);
     let head = load(&paths[1]);
-    // Engine sharding (shards / run_mode) must not change simulated
-    // results, so records differing only there stay comparable; a
-    // workload mismatch gets a loud warning but still diffs (comparing
-    // across workloads is sometimes deliberate).
-    if !base.meta.comparable_to(&head.meta) {
-        eprintln!(
-            "perf_diff: WARNING — records describe different workloads \
-             ({} vs {}); deltas attribute workload changes, not code changes",
-            base.label(),
-            head.label()
-        );
-    } else if base.meta.shards != head.meta.shards || base.meta.run_mode != head.meta.run_mode {
-        println!(
-            "note: runs differ only in engine sharding \
-             (shards {:?} -> {:?}, mode {:?} -> {:?}); results must be identical \
-             by the determinism contract",
-            base.meta.shards, head.meta.shards, base.meta.run_mode, head.meta.run_mode
-        );
-    }
     let diff = RecordDiff::between(&base, &head);
     print!("{}", diff.to_text());
 

@@ -72,14 +72,6 @@ pub struct TraceArgs {
     pub knobs: Option<String>,
     /// Workload parameter overrides (`--param K=V`, repeatable).
     pub params: Vec<(String, String)>,
-    /// Engine shards for the sharded (federated) world (`--shards N`).
-    /// `None` keeps the legacy single-heap world — byte-identical to
-    /// every pre-sharding artifact.
-    pub shards: Option<usize>,
-    /// Sharded-engine executor (`--run-mode seq|threaded`); `None`
-    /// lets the engine pick (threaded when shards > 1 and the host has
-    /// cores to spare). Implies the sharded world like `--shards`.
-    pub run_mode: Option<String>,
 }
 
 fn usage(offender: &str) -> ! {
@@ -88,7 +80,7 @@ fn usage(offender: &str) -> ! {
          (supported: --trace FILE, --breakdown, --json FILE, --profile, \
          --folded FILE, --critpath, --whatif KNOBS, --timeline FILE, \
          --slo, --window-us N, --record FILE, --out DIR, --knobs KNOBS, \
-         --param K=V, --shards N, --run-mode seq|threaded)"
+         --param K=V)"
     );
     std::process::exit(2);
 }
@@ -138,20 +130,6 @@ impl TraceArgs {
                         .unwrap_or_else(|| panic!("--param expects K=V, got {kv:?}"));
                     out.params.push((k.to_string(), v.to_string()));
                 }
-                "--shards" => {
-                    let v = it.next().expect("--shards needs a shard count");
-                    let n: usize = v.parse().expect("--shards count must be a positive integer");
-                    assert!(n >= 1, "--shards count must be >= 1");
-                    out.shards = Some(n);
-                }
-                "--run-mode" => {
-                    let v = it.next().expect("--run-mode needs seq or threaded");
-                    if v != "seq" && v != "threaded" {
-                        eprintln!("--run-mode must be \"seq\" or \"threaded\", got {v:?}");
-                        std::process::exit(2);
-                    }
-                    out.run_mode = Some(v);
-                }
                 other => usage(other),
             }
         }
@@ -189,29 +167,6 @@ impl TraceArgs {
                 eprintln!("--param {key}={v:?}: value must be a non-negative integer");
                 std::process::exit(2);
             }),
-        }
-    }
-
-    /// Whether the sharded (federated) world was requested. `--run-mode`
-    /// alone implies it: an executor choice only makes sense on the
-    /// sharded engine.
-    pub fn sharding_active(&self) -> bool {
-        self.shards.is_some() || self.run_mode.is_some()
-    }
-
-    /// The requested shard count (defaults to 1 when only `--run-mode`
-    /// was given).
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1)
-    }
-
-    /// The requested sharded-engine executor, if pinned on the command
-    /// line; `None` = let the engine pick.
-    pub fn engine_mode(&self) -> Option<simcore::shard::RunMode> {
-        match self.run_mode.as_deref() {
-            Some("seq") => Some(simcore::shard::RunMode::Sequential),
-            Some("threaded") => Some(simcore::shard::RunMode::Threaded),
-            _ => None,
         }
     }
 

@@ -140,96 +140,6 @@ pub fn run_latency(p: &LatencyParams) -> LatencyResult {
     LatencyResult { one_way_us, total, completed }
 }
 
-/// Run the latency benchmark on the sharded engine: one lane per
-/// locality over `shards` engine shards. The workload is identical to
-/// [`run_latency`]; chain-completion counters live in atomics because
-/// the two lanes may execute on different threads, and the engine runs
-/// to quiescence (the hop count is the termination condition).
-pub fn run_latency_sharded(
-    p: &LatencyParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> LatencyResult {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let chains_done = Arc::new(AtomicUsize::new(0));
-    let finish_at = Arc::new(AtomicU64::new(0));
-    let steps = p.steps;
-    let window = p.window;
-    let payload_size = p.msg_size.max(16);
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.cost = p.cost.clone();
-
-    let setup_done = chains_done.clone();
-    let setup_finish = finish_at.clone();
-    let mut world = parcelport::build_sharded_world(
-        &wcfg,
-        shards,
-        move |_rank| {
-            let mut registry = ActionRegistry::new();
-            let chains_done = setup_done.clone();
-            let finish_at = setup_finish.clone();
-            registry.register("ping", move |sim, loc, core, parcel| {
-                let data = &parcel.args[0];
-                let chain = u64::from_le_bytes(data[0..8].try_into().expect("chain id"));
-                let hops = u64::from_le_bytes(data[8..16].try_into().expect("hops"));
-                let t = sim.now() + 100; // minimal handler work
-                if hops == 0 {
-                    chains_done.fetch_add(1, Ordering::Relaxed);
-                    finish_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
-                    return t;
-                }
-                let me = loc.id;
-                let peer = 1 - me;
-                let size = data.len();
-                let ping = loc.with_registry(|r| r.id_of("ping").expect("registered"));
-                loc.spawn(
-                    sim,
-                    core,
-                    Box::new(move |sim, loc, core| {
-                        let mut payload = vec![0u8; size];
-                        payload[0..8].copy_from_slice(&chain.to_le_bytes());
-                        payload[8..16].copy_from_slice(&(hops - 1).to_le_bytes());
-                        loc.send_action(sim, core, peer, ping, vec![Bytes::from(payload)])
-                    }),
-                );
-                t
-            });
-            registry.into()
-        },
-        move |rank, sim, loc| {
-            if rank != 0 {
-                return;
-            }
-            let ping = loc.with_registry(|r| r.id_of("ping").expect("registered"));
-            for chain in 0..window as u64 {
-                let size = payload_size;
-                let hops = (2 * steps - 1) as u64;
-                loc.spawn(
-                    sim,
-                    0,
-                    Box::new(move |sim, loc, core| {
-                        let mut payload = vec![0u8; size];
-                        payload[0..8].copy_from_slice(&chain.to_le_bytes());
-                        payload[8..16].copy_from_slice(&hops.to_le_bytes());
-                        loc.send_action(sim, core, 1, ping, vec![Bytes::from(payload)])
-                    }),
-                );
-            }
-        },
-    );
-    world.run(mode);
-
-    let completed = chains_done.load(Ordering::Relaxed) >= window;
-    let total = SimTime::from_nanos(finish_at.load(Ordering::Relaxed));
-    let one_way_us = total.as_micros_f64() / (2.0 * steps as f64);
-    LatencyResult { one_way_us, total, completed }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,26 +179,5 @@ mod tests {
     fn windowed_run_completes_all_chains() {
         let r = quick("lci_psr_cq_pin_i", 8, 8);
         assert!(r.completed, "{r:?}");
-    }
-
-    #[test]
-    fn sharded_matches_single_heap_results() {
-        use simcore::shard::RunMode;
-        let mut p = LatencyParams::new("lci_psr_cq_pin_i".parse().unwrap(), 8);
-        p.steps = 50;
-        p.window = 8;
-        p.cores = 8;
-        let legacy = run_latency(&p);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (2, RunMode::Threaded)]
-        {
-            let r = run_latency_sharded(&p, shards, Some(mode));
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
-            assert_eq!(
-                r.total, legacy.total,
-                "shards={shards} {mode:?}: finish time diverged from single-heap world"
-            );
-        }
     }
 }

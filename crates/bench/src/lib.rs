@@ -25,8 +25,8 @@ pub mod report;
 pub mod trace;
 pub mod whatif;
 
-pub use latency::{run_latency, run_latency_sharded, LatencyParams, LatencyResult};
-pub use msgrate::{run_msgrate, run_msgrate_sharded, MsgRateParams, MsgRateResult};
+pub use latency::{run_latency, LatencyParams, LatencyResult};
+pub use msgrate::{run_msgrate, MsgRateParams, MsgRateResult};
 pub use whatif::{
     five_mechanism_attribution, whatif_json, whatif_latency, whatif_sweep, whatif_text, Knob,
     MechanismRow, WhatIfRow,
@@ -64,18 +64,11 @@ pub fn sweep_injection(
     base: &MsgRateParams,
     grid: &[Option<f64>],
 ) -> Vec<(Option<f64>, MsgRateResult)> {
-    grid.iter()
-        .map(|&rate| {
-            let mut p = base.clone();
-            p.inject_rate = rate;
-            (rate, run_msgrate(&p))
-        })
-        .collect()
+    sweep_injection_with(base, grid, run_msgrate)
 }
 
-/// Like [`sweep_injection`] but with a caller-chosen runner — the hook
-/// the figure harnesses use to route the sweep through the sharded
-/// engine when `--shards`/`--run-mode` are on the command line.
+/// Like [`sweep_injection`] but with a caller-chosen runner for each
+/// point.
 pub fn sweep_injection_with(
     base: &MsgRateParams,
     grid: &[Option<f64>],

@@ -199,124 +199,6 @@ pub fn run_msgrate(p: &MsgRateParams) -> MsgRateResult {
     }
 }
 
-/// Run the message-rate benchmark on the sharded engine: one lane per
-/// locality over `shards` engine shards (`mode` pins the executor,
-/// `None` lets the engine pick). The workload is identical to
-/// [`run_msgrate`]; completion counters live in atomics because lanes
-/// may execute on different threads. The engine runs to quiescence — the
-/// benchmark's own message count is the termination condition, so no
-/// safety deadline is needed.
-pub fn run_msgrate_sharded(
-    p: &MsgRateParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> MsgRateResult {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let received = Arc::new(AtomicUsize::new(0));
-    let recv_done_at = Arc::new(AtomicU64::new(0));
-    let injected = Arc::new(AtomicUsize::new(0));
-    let injected_done_at = Arc::new(AtomicU64::new(0));
-    let expect = p.total_msgs;
-    let dispatch = 150u64; // per-message receiver work, ns
-
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.lci_devices = p.devices;
-    wcfg.cost = p.cost.clone();
-
-    let tasks = p.total_msgs / p.batch;
-    let interval_ns = p.inject_rate.map(|r| (p.batch as f64 / r * 1e9) as u64);
-    let batch = p.batch;
-    let msg_size = p.msg_size;
-
-    let setup_received = received.clone();
-    let setup_recv_done = recv_done_at.clone();
-    let seed_injected = injected.clone();
-    let seed_injected_done = injected_done_at.clone();
-    let mut world = parcelport::build_sharded_world(
-        &wcfg,
-        shards,
-        move |_rank| {
-            let mut registry = ActionRegistry::new();
-            let received = setup_received.clone();
-            let recv_done_at = setup_recv_done.clone();
-            registry.register("sink", move |sim, loc, core, _parcel| {
-                let n = received.fetch_add(1, Ordering::Relaxed) + 1;
-                let t = sim.now() + dispatch;
-                if n == expect {
-                    recv_done_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
-                    // Signal back to the sender with one short message.
-                    let done = loc.with_registry(|r| r.id_of("done").expect("registered"));
-                    loc.send_action(sim, core, 0, done, vec![Bytes::from_static(b"!")]);
-                }
-                t
-            });
-            registry.register("done", move |sim, _loc, _core, _p| sim.now());
-            registry.into()
-        },
-        move |rank, sim, loc| {
-            // Injector lives on locality 0's lane, same pacing as the
-            // single-heap runner.
-            if rank != 0 {
-                return;
-            }
-            let sink = loc.with_registry(|r| r.id_of("sink").expect("registered"));
-            let payload = Bytes::from(vec![0u8; msg_size]);
-            for i in 0..tasks {
-                let at = interval_ns.map_or(SimTime::ZERO, |iv| SimTime::from_nanos(iv * i as u64));
-                let loc = loc.clone();
-                let injected = seed_injected.clone();
-                let injected_done_at = seed_injected_done.clone();
-                let payload = payload.clone();
-                sim.schedule_at(at, move |sim| {
-                    let injected = injected.clone();
-                    let injected_done_at = injected_done_at.clone();
-                    let loc2 = loc.clone();
-                    let payload = payload.clone();
-                    loc2.spawn(
-                        sim,
-                        0,
-                        Box::new(move |sim, loc, core| {
-                            let mut t = sim.now();
-                            for _ in 0..batch {
-                                t = loc.send_action(sim, core, 1, sink, vec![payload.clone()]);
-                            }
-                            injected.fetch_add(batch, Ordering::Relaxed);
-                            injected_done_at.fetch_max(t.as_nanos(), Ordering::Relaxed);
-                            t
-                        }),
-                    );
-                });
-            }
-        },
-    );
-    world.run(mode);
-
-    let done = received.load(Ordering::Relaxed) >= expect;
-    let inj_t = SimTime::from_nanos(injected_done_at.load(Ordering::Relaxed));
-    let comm_t = SimTime::from_nanos(recv_done_at.load(Ordering::Relaxed)).max(inj_t);
-    let inj_rate =
-        if inj_t > SimTime::ZERO { p.total_msgs as f64 / inj_t.as_secs_f64() } else { 0.0 };
-    let msg_rate = if done && comm_t > SimTime::ZERO {
-        p.total_msgs as f64 / comm_t.as_secs_f64()
-    } else if comm_t > SimTime::ZERO {
-        received.load(Ordering::Relaxed) as f64 / world.now().as_secs_f64()
-    } else {
-        0.0
-    };
-    MsgRateResult {
-        achieved_injection_rate: inj_rate,
-        msg_rate,
-        injection_done: inj_t,
-        comm_done: comm_t,
-        completed: done,
-        events_executed: world.events_executed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,28 +228,6 @@ mod tests {
         let r = quick("mpi_i", 8);
         assert!(r.completed, "{r:?}");
         assert!(r.msg_rate > 0.0);
-    }
-
-    #[test]
-    fn sharded_matches_single_heap_results() {
-        use simcore::shard::RunMode;
-        let mut p = MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
-        p.total_msgs = 2_000;
-        p.batch = 50;
-        p.cores = 8;
-        let legacy = run_msgrate(&p);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (2, RunMode::Threaded)]
-        {
-            let r = run_msgrate_sharded(&p, shards, Some(mode));
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
-            assert_eq!(
-                r.comm_done, legacy.comm_done,
-                "shards={shards} {mode:?}: comm-done time diverged from single-heap world"
-            );
-            assert_eq!(r.injection_done, legacy.injection_done);
-        }
     }
 
     #[test]

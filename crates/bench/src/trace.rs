@@ -118,11 +118,6 @@ impl TraceSink {
                         config: config.to_string(),
                         params: self.params.clone(),
                         knobs: self.args.dial_knob_names(),
-                        // Engine placement, not workload: absent on legacy
-                        // runs so pre-sharding records stay byte-identical;
-                        // `RunMeta::comparable_to` ignores both fields.
-                        shards: self.args.sharding_active().then(|| self.args.shard_count() as u64),
-                        run_mode: self.args.run_mode.clone(),
                     },
                 );
                 std::fs::write(path, rec.to_json()).expect("write run record");

@@ -190,36 +190,6 @@ impl Fabric {
         &self.model
     }
 
-    /// Minimum one-way propagation latency across all links, ns.
-    ///
-    /// This is the conservative-PDES lookahead the fabric guarantees: a
-    /// packet handed to the wire is never visible at its destination
-    /// earlier than `send time + min_lookahead()` (see [`Fabric::send`]:
-    /// `deliver_at = wire_free + latency_ns >= now + latency_ns`). A
-    /// sharded engine may therefore run localities up to one lookahead
-    /// apart without risking an event in any shard's past. On the direct
-    /// point-to-point wire this is the model's fixed latency; on a
-    /// switched topology it is the minimum *first-hop* (host NIC link)
-    /// latency — every walk starts by crossing the host link, and all
-    /// later hops only push delivery further out.
-    ///
-    /// Floored at 1 ns: a zero-propagation wire ([`WireModel::ideal`])
-    /// would otherwise advertise a lookahead of 0, which no conservative
-    /// engine can run under. The floor is a modeling convention for the
-    /// sharded world — an ideal-wire packet may still *arrive* at its
-    /// send instant, but its cross-lane **visibility** is deferred to
-    /// `send + 1 ns` (equivalent to the receiver polling one nanosecond
-    /// late, which the polling-based runtime already tolerates). The
-    /// single-`Sim` direct-wire path never reads this value on delivery,
-    /// so direct-wire traces are unaffected.
-    pub fn min_lookahead(&self) -> u64 {
-        let raw = match &self.topo {
-            Some(t) => t.min_first_hop_latency(),
-            None => self.model.latency_ns,
-        };
-        raw.max(1)
-    }
-
     /// Enable fault injection (tests only).
     pub fn set_faults(&mut self, fault: FaultConfig) {
         self.fault = fault;
@@ -386,44 +356,6 @@ impl Fabric {
             }
         }
         PollOutcome::Empty { cpu_done: cpu, next_arrival }
-    }
-
-    /// Drain every in-flight packet addressed to a node other than
-    /// `home` into `out` as `(deliver_at, pkt)` pairs — the lane-export
-    /// half of the federated sharded world, where each lane owns a full
-    /// fabric replica but only its `home` node ever receives locally.
-    /// Channels are visited in canonical `(src, dst, ctx)` order and each
-    /// is drained front-to-back, so per-channel FIFO is preserved and the
-    /// output order is placement-independent.
-    pub fn drain_remote(&mut self, home: NodeId, out: &mut Vec<(SimTime, Packet)>) {
-        for src in 0..self.nodes {
-            for dst in 0..self.nodes {
-                if dst == home {
-                    continue;
-                }
-                for ctx in 0..self.contexts {
-                    let chan = self.chan(src, dst, ctx);
-                    while let Some(inflight) = self.queues[chan].pop_front() {
-                        out.push((inflight.deliver_at, inflight.pkt));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accept a packet drained from another lane's replica (the
-    /// lane-import half of [`Fabric::drain_remote`]): enqueue it on its
-    /// `(src, dst, ctx)` channel with its original delivery instant and
-    /// fire the destination's arrival waker, exactly as a local
-    /// [`Fabric::send`] would have. Acceptance order must follow the
-    /// sender's drain order per channel to keep FIFO delivery.
-    pub fn accept_remote(&mut self, sim: &mut Sim, deliver_at: SimTime, pkt: Packet) {
-        let chan = self.chan(pkt.src, pkt.dst, pkt.ctx as usize);
-        let dst = pkt.dst;
-        self.queues[chan].push_back(InFlight { deliver_at, pkt });
-        if let Some(waker) = self.wakers[dst].clone() {
-            waker(sim, deliver_at);
-        }
     }
 
     /// Earliest pending arrival at `dst` (any context), if any packet is
@@ -676,35 +608,44 @@ mod tests {
 
     #[test]
     fn min_lookahead_bounds_every_delivery() {
+        use crate::topo::Topology;
+        // Direct wire: every delivery instant is at least one propagation
+        // latency after the post, even for back-to-back posts queueing on
+        // the wire. Small packets keep serialization time from hiding a
+        // missing latency term.
         let model = WireModel::expanse();
-        let mut sim = Sim::new(1);
-        let mut fab = Fabric::new(2, model);
-        let la = fab.min_lookahead();
-        assert_eq!(la, fab.model().latency_ns);
+        let la = model.latency_ns;
         assert!(la > 0, "expanse wire has real propagation latency");
-        // Every delivery instant respects the advertised lookahead, even
-        // for back-to-back posts queueing on the wire.
+        let mut sim = Sim::new(1);
+        let mut fab = Fabric::new(2, model.clone());
         for i in 0..20 {
             let posted = sim.now();
-            let out = fab.send(&mut sim, 0, posted, pkt(0, 1, i, 4096));
+            let out = fab.send(&mut sim, 0, posted, pkt(0, 1, i, 8));
             assert!(
                 out.deliver_at.as_nanos() >= posted.as_nanos() + la,
-                "delivery {i} undercuts the lookahead"
+                "direct delivery {i} undercuts the wire latency"
             );
         }
-        // The ideal (zero-latency) model is floored at 1 ns so a
-        // conservative engine can always run (visibility deferral, not a
-        // delivery delay — see the min_lookahead docs).
-        assert_eq!(Fabric::new(2, WireModel::ideal()).min_lookahead(), 1);
+        // Switched: every walk starts by crossing a host link, so no
+        // delivery undercuts the minimum first-hop latency.
+        let mut fab = Fabric::with_topology(16, model, &Topology::fat_tree_for(16));
+        let la = fab.topology().expect("switched fabric").min_first_hop_latency();
+        assert!(la > 0);
+        for i in 0..20u64 {
+            let dst = 1 + (i as usize % 15);
+            let posted = sim.now();
+            let out = fab.send(&mut sim, 0, posted, pkt(0, dst, i, 8));
+            assert!(
+                out.deliver_at.as_nanos() >= posted.as_nanos() + la,
+                "switched delivery {i} undercuts the first-hop latency"
+            );
+        }
     }
 
     #[test]
-    fn ideal_wire_lookahead_floor_defers_visibility_not_delivery() {
+    fn ideal_wire_delivers_at_the_send_instant() {
         let mut sim = Sim::new(1);
         let mut fab = Fabric::new(2, WireModel::ideal());
-        assert_eq!(fab.min_lookahead(), 1, "documented positive floor");
-        // Delivery itself is still instantaneous on the ideal wire: the
-        // floor only governs when a *remote lane* may observe the packet.
         let out = fab.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 3, 8));
         assert_eq!(out.deliver_at, SimTime::ZERO);
         match fab.poll(&mut sim, 0, 1) {
@@ -717,61 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn remote_drain_and_accept_preserve_fifo_and_wake() {
-        use std::cell::RefCell;
-        let mut sim = Sim::new(1);
-        // Lane 0's replica: node 0 sends to a remote node 1.
-        let mut src_fab = Fabric::new(2, WireModel::expanse());
-        let a = fab_send_tagged(&mut src_fab, &mut sim, 0, 1, 10);
-        let b = fab_send_tagged(&mut src_fab, &mut sim, 0, 1, 11);
-        assert!(b.deliver_at >= a.deliver_at);
-        let mut out = Vec::new();
-        src_fab.drain_remote(0, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1.tag, 10, "drain preserves channel FIFO order");
-        assert_eq!(out[1].1.tag, 11);
-        assert_eq!(src_fab.pending(1), 0, "drained packets leave the replica");
-
-        // Lane 1's replica: accept fires the registered arrival waker.
-        let mut dst_fab = Fabric::new(2, WireModel::expanse());
-        let woken: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
-        let w = woken.clone();
-        dst_fab.set_arrival_waker(
-            1,
-            Rc::new(move |_sim: &mut Sim, at: SimTime| w.borrow_mut().push(at)),
-        );
-        for (deliver_at, pkt) in out {
-            dst_fab.accept_remote(&mut sim, deliver_at, pkt);
-        }
-        assert_eq!(woken.borrow().len(), 2);
-        sim.run_until(b.deliver_at);
-        let mut tags = Vec::new();
-        loop {
-            match dst_fab.poll(&mut sim, 0, 1) {
-                PollOutcome::Packet { pkt, .. } => tags.push(pkt.tag),
-                PollOutcome::Empty { .. } => break,
-            }
-        }
-        assert_eq!(tags, vec![10, 11], "accepted packets deliver in order");
-    }
-
-    fn fab_send_tagged(
-        fab: &mut Fabric,
-        sim: &mut Sim,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-    ) -> SendOutcome {
-        let now = sim.now();
-        fab.send(sim, 0, now, pkt(src, dst, tag, 64))
-    }
-
-    #[test]
     fn topology_fabric_delivers_end_to_end() {
         use crate::topo::Topology;
         let mut sim = Sim::new(1);
         let mut fab = Fabric::with_topology(16, WireModel::expanse(), &Topology::fat_tree_for(16));
-        assert_eq!(fab.min_lookahead(), 300, "lookahead becomes the first-hop link");
         let out = fab.send(&mut sim, 0, SimTime::ZERO, pkt(0, 15, 5, 64));
         sim.run_until(out.deliver_at);
         match fab.poll(&mut sim, 0, 15) {
@@ -795,7 +685,6 @@ mod tests {
         let mut plain = Fabric::new(2, WireModel::expanse());
         let mut via = Fabric::with_topology(2, WireModel::expanse(), &Topology::Direct);
         assert!(via.topology().is_none());
-        assert_eq!(plain.min_lookahead(), via.min_lookahead());
         let a = plain.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 0, 256));
         let b = via.send(&mut sim, 0, SimTime::ZERO, pkt(0, 1, 0, 256));
         assert_eq!(a.deliver_at, b.deliver_at);

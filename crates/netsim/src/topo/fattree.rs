@@ -17,7 +17,7 @@ pub struct FatTreeParams {
     /// Switch radix / pod count. Must be even and `>= 2`; supports
     /// `k^3/4` hosts.
     pub k: usize,
-    /// Host NIC-to-edge link latency, ns (the first-hop lookahead floor).
+    /// Host NIC-to-edge link latency, ns (the first-hop delivery lower bound).
     pub host_link_ns: u64,
     /// Switch-to-switch link latency, ns.
     pub link_ns: u64,

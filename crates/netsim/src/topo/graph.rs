@@ -128,8 +128,7 @@ impl TopoGraph {
     }
 
     /// Minimum NIC-link latency over all hosts — the first-hop wire
-    /// latency that bounds every delivery, i.e. the topology's
-    /// conservative lookahead contribution.
+    /// latency that bounds every delivery.
     pub fn min_host_latency(&self) -> u64 {
         self.host_latency.iter().copied().min().unwrap_or(0)
     }

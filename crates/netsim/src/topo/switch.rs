@@ -119,8 +119,8 @@ impl SwitchFabric {
         self.policy
     }
 
-    /// Minimum first-hop (host NIC link) latency — the conservative
-    /// lookahead this topology guarantees on every delivery.
+    /// Minimum first-hop (host NIC link) latency — a lower bound on the
+    /// delay of every delivery, since every walk starts on a host link.
     pub fn min_first_hop_latency(&self) -> u64 {
         self.graph.min_host_latency()
     }
@@ -173,8 +173,7 @@ impl SwitchFabric {
 
     /// Zero-load latency of the static route for a `len`-byte packet:
     /// host link + per-hop (switch forwarding + wire serialization +
-    /// link propagation). No queueing — a floor, and a deterministic
-    /// cross-lane delay for the sharded-engine tests.
+    /// link propagation). No queueing — a floor.
     pub fn static_path_latency(
         &self,
         src: usize,

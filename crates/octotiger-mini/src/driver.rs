@@ -9,13 +9,9 @@ use netsim::WireModel;
 use parcelport::{build_world, PpConfig, WorldConfig};
 use simcore::SimTime;
 
-use crate::fmm::{install_actions, register_actions, AppState, ComputeModel};
+use crate::fmm::{register_actions, AppState, ComputeModel};
 use crate::octree::Octree;
 use crate::sfc::partition;
-
-/// The per-lane application state the sharded driver stashes in each
-/// lane's [`parcelport::LaneSetup::app`] slot.
-type LaneStates = Rc<Vec<Rc<RefCell<AppState>>>>;
 
 /// Parameters of an Octo-Tiger-mini run.
 #[derive(Debug, Clone)]
@@ -158,96 +154,6 @@ pub fn run_octotiger(p: &OctoParams) -> OctoResult {
     }
 }
 
-/// Run Octo-Tiger-mini on the sharded engine: one lane per locality over
-/// `shards` engine shards (`mode` pins the executor, `None` lets the
-/// engine pick). Identical results to [`run_octotiger`]'s workload by
-/// the determinism contract: the tree, SFC partition, and action
-/// registry are pure functions of `p`, so every lane rebuilds its own
-/// replica and the globally-agreed action ids line up by registration
-/// order — exactly how HPX localities agree on action ids without
-/// exchanging them.
-pub fn run_octotiger_sharded(
-    p: &OctoParams,
-    shards: usize,
-    mode: Option<simcore::shard::RunMode>,
-) -> OctoResult {
-    let mut wcfg = WorldConfig::two_nodes(p.config, p.cores);
-    wcfg.localities = p.localities;
-    wcfg.wire = p.wire.clone();
-    wcfg.seed = p.seed;
-    wcfg.cost = p.cost.clone();
-
-    let params = p.clone();
-    let localities = p.localities;
-    let mut world = parcelport::build_sharded_world(
-        &wcfg,
-        shards,
-        move |_rank| {
-            // Deterministic replication: every lane derives the same tree,
-            // partition, and registration order from the parameters.
-            let tree = Rc::new(Octree::build(params.level));
-            let part = Rc::new(partition(&tree, params.localities));
-            let states = AppState::build_all(
-                tree,
-                part,
-                params.localities,
-                params.steps,
-                params.compute.clone(),
-            );
-            let mut registry = ActionRegistry::new();
-            let actions_out = Rc::new(RefCell::new(None));
-            let actions = register_actions(&mut registry, states.clone(), actions_out);
-            parcelport::LaneSetup {
-                registry,
-                app: Some(Box::new(states)),
-                thread_prep: Some(Box::new(move || install_actions(actions))),
-            }
-        },
-        move |rank, sim, loc| {
-            // Same kick as the single-heap driver: locality 0 starts step
-            // 0 everywhere.
-            if rank != 0 {
-                return;
-            }
-            let start = loc.with_registry(|r| r.id_of("octo.step_start").unwrap());
-            for dest in 0..localities {
-                if dest == 0 {
-                    loc.spawn(
-                        sim,
-                        0,
-                        Box::new(move |sim, loc, core| {
-                            let handler = loc.with_registry(|r| r.handler(start));
-                            handler(sim, loc, core, amt::Parcel::empty(start))
-                        }),
-                    );
-                } else {
-                    loc.spawn(
-                        sim,
-                        0,
-                        Box::new(move |sim, loc, core| {
-                            loc.send_action(sim, core, dest, start, vec![Bytes::new()])
-                        }),
-                    );
-                }
-            }
-        },
-    );
-    world.run(mode);
-
-    // Step completion and finish time live on locality 0; the mass
-    // invariant is tracked by each rank on its own lane.
-    let st0 = world.app::<LaneStates>(0).expect("lane 0 app state")[0].borrow();
-    let completed = st0.steps_completed >= p.steps;
-    let total = if st0.finished_at == SimTime::ZERO { world.now() } else { st0.finished_at };
-    let steps_per_sec = if completed { p.steps as f64 / total.as_secs_f64() } else { 0.0 };
-    let mass_ok = (0..p.localities)
-        .all(|rank| world.app::<LaneStates>(rank).expect("lane app state")[rank].borrow().mass_ok);
-    let leaves = st0.tree_leaves();
-    let events_executed = world.events_executed();
-    drop(st0);
-    OctoResult { steps_per_sec, total, completed, mass_ok, leaves, events_executed }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,39 +186,6 @@ mod tests {
         let r = quick("mpi_i", 4, 3);
         assert!(r.completed, "{r:?}");
         assert!(r.mass_ok);
-    }
-
-    fn quick_sharded(
-        config: &str,
-        localities: usize,
-        level: u32,
-        shards: usize,
-        mode: simcore::shard::RunMode,
-    ) -> OctoResult {
-        let mut p = OctoParams::expanse(config.parse().unwrap(), localities);
-        p.level = level;
-        p.cores = 6;
-        p.steps = 2;
-        run_octotiger_sharded(&p, shards, Some(mode))
-    }
-
-    #[test]
-    fn sharded_matches_single_heap_results() {
-        use simcore::shard::RunMode;
-        let legacy = quick("lci_psr_cq_pin_i", 4, 3);
-        assert!(legacy.completed);
-        for (shards, mode) in
-            [(1, RunMode::Sequential), (2, RunMode::Sequential), (4, RunMode::Threaded)]
-        {
-            let r = quick_sharded("lci_psr_cq_pin_i", 4, 3, shards, mode);
-            assert!(r.completed, "shards={shards} {mode:?}: {r:?}");
-            assert!(r.mass_ok, "shards={shards} {mode:?}: mass invariant violated");
-            assert_eq!(r.leaves, legacy.leaves);
-            assert_eq!(
-                r.total, legacy.total,
-                "shards={shards} {mode:?}: virtual end time diverged from the single-heap world"
-            );
-        }
     }
 
     #[test]

@@ -437,16 +437,6 @@ thread_local! {
     static ACTIONS: RefCell<Option<Actions>> = const { RefCell::new(None) };
 }
 
-/// Install the action-id bundle into this thread's registry slot.
-/// [`register_actions`] does this on its own thread; the sharded driver
-/// calls it from every lane's `thread_prep` hook so the closures above
-/// resolve action ids on whatever engine worker thread hosts the lane.
-/// Idempotent: ids are agreed globally (same registration order on every
-/// lane), so overwriting with an equal value is harmless.
-pub fn install_actions(actions: Actions) {
-    ACTIONS.with(|a| *a.borrow_mut() = Some(actions));
-}
-
 /// Final leaf update and completion accounting.
 fn finish_leaf(
     sim: &mut Sim,
@@ -487,11 +477,6 @@ fn finish_leaf(
 impl AppState {
     fn my_leaves_len(&self) -> usize {
         self.my_leaves.len()
-    }
-
-    /// Leaves in the whole tree (workload size indicator).
-    pub fn tree_leaves(&self) -> usize {
-        self.tree.leaves().len()
     }
 
     /// Diagnostic snapshot of the current step's progress.

@@ -32,6 +32,6 @@ pub mod fmm;
 pub mod octree;
 pub mod sfc;
 
-pub use driver::{run_octotiger, run_octotiger_sharded, OctoParams, OctoResult};
+pub use driver::{run_octotiger, OctoParams, OctoResult};
 pub use octree::{NodeId, Octree};
 pub use sfc::partition;

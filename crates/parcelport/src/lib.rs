@@ -37,10 +37,8 @@ pub mod config;
 pub mod header;
 pub mod lci_pp;
 pub mod mpi_pp;
-pub mod sharded;
 pub mod tcp_pp;
 
 pub use builder::{build_world, World, WorldConfig};
 pub use config::{Backend, Completion, PpConfig, Progress, Protocol};
 pub use header::{HeaderInfo, MessagePlan, PartId, MAX_HEADER_SIZE};
-pub use sharded::{build_sharded_world, LaneSetup, LocalityNode, ShardedWorld};

@@ -156,82 +156,6 @@ impl CausalLog {
         }
         inner.marks.push(MarkRec { owner, label, kind, start, end, fixed });
     }
-
-    /// Drain the log into a plain, `Send` snapshot. Used by the sharded
-    /// engine: each worker thread records into its own thread-local log
-    /// and ships the data back for a deterministic merge.
-    pub fn take_data(&self) -> ShardCausalData {
-        let mut inner = self.inner.borrow_mut();
-        ShardCausalData {
-            base: inner.base,
-            nodes: std::mem::take(&mut inner.nodes),
-            marks: std::mem::take(&mut inner.marks),
-            truncated: inner.truncated,
-        }
-    }
-}
-
-/// A detached, `Send` snapshot of one shard's causal log (node ids are in
-/// that shard's namespace: `base + index`).
-#[derive(Debug)]
-pub struct ShardCausalData {
-    /// Node id of `nodes[0]`.
-    pub base: u64,
-    /// Provenance nodes in execution order.
-    pub nodes: Vec<NodeRec>,
-    /// Time marks in emission order.
-    pub marks: Vec<MarkRec>,
-    /// Whether the memory guard cut recording short.
-    pub truncated: bool,
-}
-
-/// Merge per-shard causal logs into one log with contiguous 1-based node
-/// ids, deterministically: nodes are ordered by `(time, original id)` —
-/// the original ids carry the shard index in their high bits, so ties at
-/// equal times break by shard, matching the engine's canonical merge rule.
-/// Parent references (including cross-shard ones) are remapped; a parent
-/// that was never recorded (e.g. scheduled before capture began) maps to 0.
-pub fn merge_sharded(shards: Vec<ShardCausalData>) -> Rc<CausalLog> {
-    merge_sharded_with_remap(shards).0
-}
-
-/// [`merge_sharded`], additionally returning the `original gid -> merged
-/// 1-based id` map so observers holding raw node ids (e.g. the flow
-/// tracer's delivery nodes) can follow the renumbering.
-pub fn merge_sharded_with_remap(
-    shards: Vec<ShardCausalData>,
-) -> (Rc<CausalLog>, std::collections::HashMap<u64, u64>) {
-    let truncated = shards.iter().any(|s| s.truncated);
-    // (at, original gid, parent gid) for every node, canonically sorted.
-    let mut order: Vec<(u64, u64, u64)> = Vec::new();
-    for s in &shards {
-        for (i, n) in s.nodes.iter().enumerate() {
-            order.push((n.at, s.base + i as u64, n.parent));
-        }
-    }
-    order.sort_unstable_by_key(|&(at, gid, _)| (at, gid));
-    // Remap original gid -> merged 1-based id.
-    let remap: std::collections::HashMap<u64, u64> =
-        order.iter().enumerate().map(|(i, &(_, gid, _))| (gid, i as u64 + 1)).collect();
-    let nodes: Vec<NodeRec> = order
-        .iter()
-        .map(|&(at, _, parent)| NodeRec { at, parent: remap.get(&parent).copied().unwrap_or(0) })
-        .collect();
-    let mut marks: Vec<(u64, MarkRec)> = Vec::new();
-    for s in &shards {
-        for m in &s.marks {
-            if let Some(&owner) = remap.get(&m.owner) {
-                marks.push((owner, MarkRec { owner, ..*m }));
-            }
-        }
-    }
-    // Canonical mark order: by merged owner, emission order preserved
-    // within an owner (stable sort).
-    marks.sort_by_key(|&(owner, _)| owner);
-    let marks: Vec<MarkRec> = marks.into_iter().map(|(_, m)| m).collect();
-    let log =
-        Rc::new(CausalLog { inner: RefCell::new(LogInner { base: 1, nodes, marks, truncated }) });
-    (log, remap)
 }
 
 thread_local! {

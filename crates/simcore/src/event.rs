@@ -183,11 +183,6 @@ impl EventQueue {
         self.pop_if(SimTime::NEVER)
     }
 
-    /// Fire time of the earliest pending event, without popping it.
-    pub(crate) fn peek_at(&self) -> Option<SimTime> {
-        self.heap.first().map(|&slot| self.slots[slot as usize].at)
-    }
-
     /// Pop the earliest event (time, provenance parent, payload) if it
     /// fires at or before `deadline` — one root comparison, no separate
     /// peek.

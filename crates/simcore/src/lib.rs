@@ -36,7 +36,6 @@ pub mod json;
 pub mod lock;
 pub mod probe;
 pub mod resource;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -49,7 +48,6 @@ pub use json::escape_json;
 pub use lock::{SimLock, SimTryLock, TryAcquire};
 pub use probe::Probe;
 pub use resource::SimResource;
-pub use shard::{LaneCtx, LaneId, RunMode, RunReport, ShardActor, ShardEventId, ShardedSim};
 pub use sim::Sim;
 pub use stats::{Stats, Summary};
 pub use time::SimTime;

@@ -51,16 +51,10 @@ pub struct Sim {
     pub stats: Stats,
     executed: u64,
     /// Node id of the event currently being dispatched
-    /// (= `node_base + executed` at dispatch start; 0 outside dispatch).
+    /// (= `executed` at dispatch start; 0 outside dispatch).
     /// Recorded as the provenance parent of every event scheduled from
     /// inside it.
     current: u64,
-    /// Offset added to the 1-based executed counter when minting node
-    /// ids. 0 for a standalone `Sim` (node ids are exactly the executed
-    /// counter — the legacy namespace); a federated lane sets this to
-    /// `lane << 44` so node ids are globally unique across lanes and
-    /// per-lane causal logs can be merged without collisions.
-    node_base: u64,
 }
 
 impl Sim {
@@ -75,24 +69,7 @@ impl Sim {
             stats: Stats::new(),
             executed: 0,
             current: 0,
-            node_base: 0,
         }
-    }
-
-    /// Namespace this simulator's provenance node ids: every executed
-    /// event gets id `base + executed`. Must be set before any event
-    /// runs; used by federated lanes (`base = lane << 44`) so per-lane
-    /// causal logs merge without id collisions. The default base 0
-    /// preserves the legacy ids exactly.
-    pub fn set_node_base(&mut self, base: u64) {
-        assert_eq!(self.executed, 0, "node base must be set before any event executes");
-        self.node_base = base;
-    }
-
-    /// Fire time of the earliest pending event, if any.
-    #[inline]
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek_at()
     }
 
     /// Current virtual time.
@@ -206,7 +183,7 @@ impl Sim {
         debug_assert!(at >= self.now, "time must not go backwards");
         self.now = at;
         self.executed += 1;
-        self.current = self.node_base + self.executed;
+        self.current = self.executed;
         let instrumented = crate::causal::installed();
         if instrumented {
             crate::causal::on_execute(self.current, at.as_nanos(), parent);

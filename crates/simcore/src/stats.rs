@@ -74,19 +74,6 @@ impl Summary {
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Fold `other` into `self`: the result summarizes the union of both
-    /// sample sets.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Stats {
@@ -136,19 +123,6 @@ impl Stats {
     pub fn clear(&mut self) {
         self.counters.clear();
         self.summaries.clear();
-    }
-
-    /// Fold `other` into `self`: counters add, summaries merge. Used to
-    /// combine per-shard stats into one global bag after a sharded run;
-    /// merging is order-independent, so any deterministic shard order
-    /// yields the same result.
-    pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, s) in &other.summaries {
-            self.summaries.entry(k).or_default().merge(s);
-        }
     }
 }
 

@@ -13,7 +13,6 @@
 //! can mark unconditionally.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 use simcore::SimTime;
 
@@ -45,71 +44,6 @@ pub const STAGE_NAMES: [&str; stage::COUNT] =
 
 /// Timestamp sentinel for "stage not reached".
 pub const UNSET: u64 = u64::MAX;
-
-/// Lane-mode flow ids carry the owning lane in bits 44.. (matching the
-/// sharded engine's node-id namespacing); the low 44 bits are the lane's
-/// 1-based local flow index. Lane 0's ids are therefore identical to the
-/// legacy single-collector ids.
-pub(crate) const LANE_SHIFT: u32 = 44;
-const LOCAL_MASK: u64 = (1 << LANE_SHIFT) - 1;
-
-/// Registered routes: `(src, dst, tag_base)` → the sender's flow ids.
-type RouteMap = HashMap<(usize, usize, u64), Vec<u64>>;
-
-/// Published lane-mode flow metadata: `id` → `(src, dst, put_ns)`.
-type MetaMap = HashMap<u64, (usize, usize, u64)>;
-
-/// Process-global route registry used in lane mode: the sender's and the
-/// receiver's tracers live on different lanes (possibly different worker
-/// threads), so the out-of-band `(src, dst, tag_base)` handoff has to
-/// cross tracer boundaries. The engine's conservative barrier guarantees
-/// the register happens-before the claim; the mutex only provides
-/// data-race freedom, never ordering.
-fn global_routes() -> &'static Mutex<RouteMap> {
-    static ROUTES: OnceLock<Mutex<RouteMap>> = OnceLock::new();
-    ROUTES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Process-global flow metadata (`id → (src, dst, put_ns)`) registered at
-/// `begin` in lane mode so a *receiving* lane can feed its end-to-end
-/// latency histogram at delivery time without owning the sender's
-/// `FlowRec`.
-fn global_meta() -> &'static Mutex<MetaMap> {
-    static META: OnceLock<Mutex<MetaMap>> = OnceLock::new();
-    META.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Publish `(src, dst, put_ns)` for lane-mode flow `id`.
-pub(crate) fn register_flow_meta(id: u64, src: usize, dst: usize, put_ns: u64) {
-    if id != 0 {
-        global_meta().lock().expect("flow meta").insert(id, (src, dst, put_ns));
-    }
-}
-
-/// Look up the published metadata for a (typically foreign) flow id.
-pub(crate) fn flow_meta(id: u64) -> Option<(usize, usize, u64)> {
-    global_meta().lock().expect("flow meta").get(&id).copied()
-}
-
-/// Drop all lane-mode global state. Called from `telemetry::disable` so
-/// back-to-back runs in one process cannot cross-contaminate.
-pub(crate) fn clear_lane_globals() {
-    global_routes().lock().expect("route registry").clear();
-    global_meta().lock().expect("flow meta").clear();
-}
-
-/// An operation on a flow owned by *another* lane's tracer, buffered for
-/// the post-run merge (receiver-side stages are marked on the receiving
-/// lane, which does not hold the sender's `FlowRec`).
-#[derive(Debug, Clone)]
-pub(crate) enum ForeignOp {
-    /// A stage mark: `(id, stage, t_ns, deliver_node)` —
-    /// `deliver_node` is the raw causal gid captured at a DELIVER mark
-    /// (0 otherwise), remapped to merged node ids at merge time.
-    Mark(u64, usize, u64, u64),
-    /// `set_dst_core(id, core)`.
-    DstCore(u64, usize),
-}
 
 /// One parcel's recorded lifecycle.
 #[derive(Debug, Clone)]
@@ -152,15 +86,6 @@ pub struct FlowTracer {
     /// Stop allocating new flows past this many (memory guard for long
     /// runs); marks on existing flows keep working.
     pub max_flows: usize,
-    /// Lane-mode id base (`lane << LANE_SHIFT`); `None` = legacy
-    /// single-collector mode with plain 1-based ids.
-    lane_base: Option<u64>,
-    /// Buffered operations on flows owned by other lanes' tracers.
-    foreign: Vec<ForeignOp>,
-    /// `(id, op-discriminant)` pairs already buffered — first-wins dedup
-    /// so `mark` still reports "newly set" exactly once per stage (the
-    /// in-flight accounting depends on it).
-    foreign_seen: std::collections::HashSet<(u64, usize)>,
 }
 
 impl Default for FlowTracer {
@@ -172,77 +97,30 @@ impl Default for FlowTracer {
 impl FlowTracer {
     /// Create an empty tracer.
     pub fn new() -> Self {
-        FlowTracer {
-            flows: Vec::new(),
-            routes: HashMap::new(),
-            max_flows: 1 << 22,
-            lane_base: None,
-            foreign: Vec::new(),
-            foreign_seen: std::collections::HashSet::new(),
-        }
-    }
-
-    /// Put this tracer in lane mode for `lane`: new flow ids carry the
-    /// lane in their high bits, and operations on flows minted by other
-    /// lanes are buffered as [`ForeignOp`]s for the post-run merge.
-    pub(crate) fn set_lane(&mut self, lane: u32) {
-        self.lane_base = Some((lane as u64) << LANE_SHIFT);
-    }
-
-    /// Whether this tracer is in lane mode.
-    pub(crate) fn lane_mode(&self) -> bool {
-        self.lane_base.is_some()
-    }
-
-    /// Whether `id` belongs to another lane's tracer.
-    #[inline]
-    fn is_foreign(&self, id: u64) -> bool {
-        match self.lane_base {
-            Some(base) => (id & !LOCAL_MASK) != base,
-            None => false,
-        }
-    }
-
-    /// Local index of a native id (the low bits are the 1-based index in
-    /// both legacy and lane mode).
-    #[inline]
-    fn idx(id: u64) -> usize {
-        (id & LOCAL_MASK) as usize - 1
+        FlowTracer { flows: Vec::new(), routes: HashMap::new(), max_flows: 1 << 22 }
     }
 
     /// Start a flow for a parcel put on `src_core` of locality `src`,
     /// destined for `dst`. Returns the flow id (0 if the tracer is full).
     pub fn begin(&mut self, src: usize, dst: usize, src_core: usize, t: SimTime) -> u64 {
-        if self.flows.len() >= self.max_flows.min(LOCAL_MASK as usize) {
+        if self.flows.len() >= self.max_flows {
             return 0;
         }
         let mut stages = [UNSET; stage::COUNT];
         stages[stage::PUT] = t.as_nanos();
         self.flows.push(FlowRec { src, dst, src_core, dst_core: 0, stages, deliver_node: 0 });
-        self.lane_base.unwrap_or(0) | self.flows.len() as u64
+        self.flows.len() as u64
     }
 
     /// Record `stage` for flow `id` at `t`. First mark wins (retries keep
     /// the earliest entry into a stage); id 0 is ignored. Returns whether
     /// the stage was newly set (callers maintain in-flight counts on the
-    /// first DELIVER mark only). In lane mode a mark on a foreign id is
-    /// buffered for the merge; "newly set" then means "newly buffered",
-    /// which coincides (each receiver-side stage is marked by exactly one
-    /// locality, and the dedup set keeps retries idempotent).
+    /// first DELIVER mark only).
     pub fn mark(&mut self, id: u64, stage: usize, t: SimTime) -> bool {
         if id == 0 {
             return false;
         }
-        if self.is_foreign(id) {
-            if !self.foreign_seen.insert((id, stage)) {
-                return false;
-            }
-            let deliver_node =
-                if stage == self::stage::DELIVER { simcore::causal::current_node() } else { 0 };
-            self.foreign.push(ForeignOp::Mark(id, stage, t.as_nanos(), deliver_node));
-            return true;
-        }
-        let rec = &mut self.flows[Self::idx(id)];
+        let rec = &mut self.flows[id as usize - 1];
         let slot = &mut rec.stages[stage];
         if *slot == UNSET {
             *slot = t.as_nanos();
@@ -264,35 +142,16 @@ impl FlowTracer {
     /// Record the core that handled delivery for `ids`.
     pub fn set_dst_core(&mut self, ids: &[u64], core: usize) {
         for &id in ids {
-            if id == 0 {
-                continue;
+            if id != 0 {
+                self.flows[id as usize - 1].dst_core = core;
             }
-            if self.is_foreign(id) {
-                if self.foreign_seen.insert((id, stage::COUNT)) {
-                    self.foreign.push(ForeignOp::DstCore(id, core));
-                }
-                continue;
-            }
-            self.flows[Self::idx(id)].dst_core = core;
         }
     }
 
     /// Sender side: associate `flows` with the message identified by
-    /// `(src, dst, tag_base)` so the receiver can pick them up. In lane
-    /// mode the registration goes through the process-global registry so
-    /// a receiver on another lane (and another thread) can claim it; the
-    /// engine's conservative barrier orders the register before the
-    /// claim, the mutex only makes the handoff data-race-free.
+    /// `(src, dst, tag_base)` so the receiver can pick them up.
     pub fn register_route(&mut self, src: usize, dst: usize, tag_base: u64, flows: &[u64]) {
-        if flows.is_empty() {
-            return;
-        }
-        if self.lane_mode() {
-            global_routes()
-                .lock()
-                .expect("route registry")
-                .insert((src, dst, tag_base), flows.to_vec());
-        } else {
+        if !flows.is_empty() {
             self.routes.insert((src, dst, tag_base), flows.to_vec());
         }
     }
@@ -300,70 +159,12 @@ impl FlowTracer {
     /// Receiver side: claim the flows registered for `(src, dst,
     /// tag_base)`. Empty if the sender registered nothing.
     pub fn take_route(&mut self, src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
-        if self.lane_mode() {
-            return global_routes()
-                .lock()
-                .expect("route registry")
-                .remove(&(src, dst, tag_base))
-                .unwrap_or_default();
-        }
         self.routes.remove(&(src, dst, tag_base)).unwrap_or_default()
     }
 
     /// All recorded flows, in creation order.
     pub fn flows(&self) -> &[FlowRec] {
         &self.flows
-    }
-
-    /// The record behind flow `id`, if this tracer owns it (None for id 0
-    /// and, in lane mode, for foreign ids).
-    pub(crate) fn rec(&self, id: u64) -> Option<&FlowRec> {
-        if id == 0 || self.is_foreign(id) {
-            return None;
-        }
-        self.flows.get(Self::idx(id))
-    }
-
-    /// Merge per-lane tracers (in lane-rank order) back into one legacy
-    /// tracer, replaying every buffered [`ForeignOp`] against the record
-    /// owned by the minting lane. `remap` translates raw per-lane causal
-    /// gids (node-base `rank << 44`) into merged causal-log node ids; gids
-    /// absent from the merged log collapse to 0 ("no provenance").
-    pub(crate) fn merge_lanes(lanes: Vec<FlowTracer>, remap: &HashMap<u64, u64>) -> FlowTracer {
-        let remap_node = |n: u64| if n == 0 { 0 } else { remap.get(&n).copied().unwrap_or(0) };
-        let mut merged = FlowTracer::new();
-        let mut id_map: HashMap<u64, usize> = HashMap::new();
-        let mut foreign: Vec<ForeignOp> = Vec::new();
-        for lane in &lanes {
-            let base = lane.lane_base.unwrap_or(0);
-            for (i, rec) in lane.flows.iter().enumerate() {
-                id_map.insert(base | (i as u64 + 1), merged.flows.len());
-                let mut rec = rec.clone();
-                rec.deliver_node = remap_node(rec.deliver_node);
-                merged.flows.push(rec);
-            }
-            foreign.extend(lane.foreign.iter().cloned());
-        }
-        for op in foreign {
-            match op {
-                ForeignOp::Mark(id, stage, t_ns, deliver_node) => {
-                    let Some(&idx) = id_map.get(&id) else { continue };
-                    let rec = &mut merged.flows[idx];
-                    if rec.stages[stage] == UNSET {
-                        rec.stages[stage] = t_ns;
-                        if stage == self::stage::DELIVER {
-                            rec.deliver_node = remap_node(deliver_node);
-                        }
-                    }
-                }
-                ForeignOp::DstCore(id, core) => {
-                    if let Some(&idx) = id_map.get(&id) {
-                        merged.flows[idx].dst_core = core;
-                    }
-                }
-            }
-        }
-        merged
     }
 
     /// Number of recorded flows.
@@ -434,61 +235,5 @@ mod tests {
         assert_eq!(f.begin(0, 1, 0, SimTime::ZERO), 1);
         assert_eq!(f.begin(0, 1, 0, SimTime::ZERO), 0);
         assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn lane_ids_carry_lane_and_lane0_matches_legacy() {
-        let mut l0 = FlowTracer::new();
-        l0.set_lane(0);
-        let mut l2 = FlowTracer::new();
-        l2.set_lane(2);
-        assert_eq!(l0.begin(0, 1, 0, SimTime::ZERO), 1);
-        let id = l2.begin(2, 0, 0, SimTime::ZERO);
-        assert_eq!(id, (2u64 << LANE_SHIFT) | 1);
-        assert!(l0.rec(id).is_none(), "foreign id must not resolve locally");
-        assert!(l2.rec(id).is_some());
-    }
-
-    #[test]
-    fn foreign_marks_buffer_and_merge_back() {
-        let mut sender = FlowTracer::new();
-        sender.set_lane(1);
-        let mut receiver = FlowTracer::new();
-        receiver.set_lane(0);
-        let id = sender.begin(1, 0, 0, SimTime::from_nanos(5));
-        sender.mark(id, stage::INJECT, SimTime::from_nanos(10));
-        // Receiver-side stages land on the other lane's tracer.
-        assert!(receiver.mark(id, stage::WIRE, SimTime::from_nanos(40)));
-        assert!(receiver.mark(id, stage::DELIVER, SimTime::from_nanos(50)));
-        // Retry of an already-buffered stage is not "newly set".
-        assert!(!receiver.mark(id, stage::DELIVER, SimTime::from_nanos(60)));
-        receiver.set_dst_core(&[id], 3);
-        assert_eq!(receiver.len(), 0, "foreign ops must not mint local flows");
-
-        let merged = FlowTracer::merge_lanes(vec![receiver, sender], &HashMap::new());
-        assert_eq!(merged.len(), 1);
-        let rec = &merged.flows()[0];
-        assert_eq!(rec.at(stage::PUT), Some(5));
-        assert_eq!(rec.at(stage::INJECT), Some(10));
-        assert_eq!(rec.at(stage::WIRE), Some(40));
-        assert_eq!(rec.at(stage::DELIVER), Some(50));
-        assert_eq!(rec.dst_core, 3);
-        assert!(rec.delivered());
-    }
-
-    #[test]
-    fn lane_routes_cross_tracers_and_clear() {
-        let mut sender = FlowTracer::new();
-        sender.set_lane(0);
-        let mut receiver = FlowTracer::new();
-        receiver.set_lane(1);
-        let id = sender.begin(0, 1, 0, SimTime::ZERO);
-        sender.register_route(0, 1, 7, &[id]);
-        assert_eq!(receiver.take_route(0, 1, 7), vec![id]);
-        assert!(receiver.take_route(0, 1, 7).is_empty());
-        register_flow_meta(id, 0, 1, 123);
-        assert_eq!(flow_meta(id), Some((0, 1, 123)));
-        clear_lane_globals();
-        assert_eq!(flow_meta(id), None);
     }
 }

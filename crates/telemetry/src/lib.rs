@@ -92,15 +92,9 @@ impl Inner {
         if self.timeline.is_none() || id == 0 {
             return;
         }
-        let (src, dst, put) = match self.flows.rec(id) {
-            Some(rec) => (rec.src, rec.dst, rec.at(stage::PUT).unwrap_or(t.as_nanos())),
-            // Lane mode: a foreign id's record lives on the sending
-            // lane's tracer; read the published metadata instead.
-            None => match flow::flow_meta(id) {
-                Some(meta) => meta,
-                None => return,
-            },
-        };
+        let Some(rec) = self.flows.flows().get((id - 1) as usize) else { return };
+        let (src, dst) = (rec.src, rec.dst);
+        let put = rec.at(stage::PUT).unwrap_or(t.as_nanos());
         let deliver = t.as_nanos();
         self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put));
         if let Some(tl) = &mut self.timeline {
@@ -217,11 +211,6 @@ impl Telemetry {
             inner.in_flight += 1;
             let v = inner.in_flight as f64;
             inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-            // Lane mode with timelines: publish (src, dst, put) so the
-            // receiving lane can feed its latency series at delivery.
-            if inner.timeline.is_some() && inner.flows.lane_mode() {
-                flow::register_flow_meta(id, src, dst, t.as_nanos());
-            }
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
@@ -553,12 +542,6 @@ impl Telemetry {
         self.timeline_finalize();
         self.with_timeline(|tl| tl.to_openmetrics(config))
     }
-
-    /// The timeline configuration, if a timeline is attached — used to
-    /// clone per-lane timelines in the sharded world.
-    pub fn timeline_config(&self) -> Option<TimelineConfig> {
-        self.with_timeline(|tl| tl.config())
-    }
 }
 
 /// Adapter feeding `simcore::probe` events into the contention table.
@@ -684,7 +667,6 @@ pub fn disable() {
     ACTIVE.with(|c| *c.borrow_mut() = None);
     simcore::probe::uninstall();
     simcore::causal::uninstall();
-    flow::clear_lane_globals();
 }
 
 /// Whether a collector is active on this thread.
@@ -836,151 +818,6 @@ pub fn profile_overlay(
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded-world lane collectors
-// ---------------------------------------------------------------------
-
-/// One engine lane's private collector for the sharded world: a full
-/// [`Telemetry`] (flow tracer in lane mode, its own causal log, its own
-/// probe adapter) that the lane actor installs on whichever thread is
-/// dispatching its events and uninstalls right after, so worker threads
-/// never share mutable recording state. After the run,
-/// [`merge_lane_collectors`] folds every lane into the main collector in
-/// lane-rank order — the merged result is therefore a pure function of
-/// the per-lane streams, independent of shard count and run mode.
-pub struct LaneCollector {
-    tel: Rc<Telemetry>,
-    /// Adapter built once at construction so installs on the dispatch hot
-    /// path do not allocate (the alloc-ceiling gates cover sharded runs).
-    probe: Rc<dyn simcore::Probe>,
-    causal: Rc<CausalLog>,
-}
-
-impl LaneCollector {
-    /// Build the collector for `lane`. Pass the main collector's timeline
-    /// config (see [`Telemetry::timeline_config`]) so windowed series
-    /// keep working per-lane.
-    pub fn new(lane: u32, timeline: Option<TimelineConfig>) -> Self {
-        let tel = Rc::new(Telemetry::new());
-        let causal = CausalLog::new();
-        {
-            let inner = &mut *tel.inner.borrow_mut();
-            inner.flows.set_lane(lane);
-            inner.causal = Some(causal.clone());
-            inner.timeline = timeline.map(Timeline::new);
-        }
-        let probe: Rc<dyn simcore::Probe> = Rc::new(ProbeAdapter(tel.clone()));
-        LaneCollector { tel, probe, causal }
-    }
-
-    /// Install this lane's collector on the current thread (pairs with
-    /// [`LaneCollector::uninstall`] around each event dispatch).
-    pub fn install(&self) {
-        ACTIVE.with(|c| *c.borrow_mut() = Some(self.tel.clone()));
-        simcore::probe::install(self.probe.clone());
-        simcore::causal::install(self.causal.clone());
-    }
-
-    /// Remove this lane's collector from the current thread. Unlike
-    /// [`disable`] this leaves the lane-global route/meta registries
-    /// alone — other lanes still need them mid-run.
-    pub fn uninstall(&self) {
-        ACTIVE.with(|c| *c.borrow_mut() = None);
-        simcore::probe::uninstall();
-        simcore::causal::uninstall();
-    }
-
-    /// Handle to this lane's telemetry (read access for tests).
-    pub fn telemetry(&self) -> Rc<Telemetry> {
-        self.tel.clone()
-    }
-}
-
-/// Re-install an existing collector on the current thread after a
-/// sharded run temporarily displaced it with lane collectors.
-pub fn reinstall(tel: &Rc<Telemetry>) {
-    ACTIVE.with(|c| *c.borrow_mut() = Some(tel.clone()));
-    simcore::probe::install(Rc::new(ProbeAdapter(tel.clone())));
-    if let Some(log) = tel.inner.borrow().causal.clone() {
-        simcore::causal::install(log);
-    }
-}
-
-/// Counter tracks whose samples are *running totals* on each lane: the
-/// merged run total must be rebuilt from per-lane increments rather than
-/// interleaved raw values.
-const CUMULATIVE_TRACKS: [&str; 2] = ["parcels.in_flight", "amt.delivered"];
-
-/// Fold per-lane collectors (in lane-rank order) into `main` and
-/// re-install `main` on the current thread. Per-lane causal logs merge
-/// into one contiguous provenance log; flow tracers stitch foreign-op
-/// buffers back onto the records the minting lanes own; metrics,
-/// contention, profiler, spans and timelines merge additively. Assumes
-/// `main` itself recorded no flows during the run (the sharded world
-/// routes every event through a lane collector).
-pub fn merge_lane_collectors(main: &Rc<Telemetry>, lanes: Vec<LaneCollector>) {
-    let shards: Vec<_> = lanes.iter().map(|l| l.causal.take_data()).collect();
-    let (merged_log, remap) = simcore::causal::merge_sharded_with_remap(shards);
-
-    {
-        let main_inner = &mut *main.inner.borrow_mut();
-        let mut tracers = Vec::with_capacity(lanes.len());
-        // Per-track, per-lane snapshots of the cumulative series, taken
-        // before the additive merge interleaves their raw values.
-        let mut cum: Vec<Vec<Vec<(u64, f64)>>> = vec![Vec::new(); CUMULATIVE_TRACKS.len()];
-        for lane in &lanes {
-            // The probe adapter keeps an `Rc` to the lane telemetry, so
-            // take the inner state rather than unwrapping the handle.
-            let inner = std::mem::take(&mut *lane.tel.inner.borrow_mut());
-            for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
-                cum[slot].push(inner.metrics.track(name).map(|s| s.to_vec()).unwrap_or_default());
-            }
-            main_inner.metrics.merge(&inner.metrics);
-            main_inner.contention.merge(&inner.contention);
-            main_inner.profile.absorb(inner.profile);
-            main_inner.spans.extend(inner.spans);
-            main_inner.in_flight += inner.in_flight;
-            if let (Some(dst), Some(src)) = (&mut main_inner.timeline, inner.timeline) {
-                dst.absorb(src);
-            }
-            tracers.push(inner.flows);
-        }
-        main_inner.causal = Some(merged_log);
-        main_inner.flows = FlowTracer::merge_lanes(tracers, &remap);
-        for (slot, name) in CUMULATIVE_TRACKS.iter().enumerate() {
-            let rebuilt = rebuild_cumulative(&cum[slot]);
-            if !rebuilt.is_empty() {
-                main_inner.metrics.track_replace(name, rebuilt);
-            }
-        }
-    }
-    reinstall(main);
-}
-
-/// Rebuild one cumulative counter track from per-lane running values:
-/// reconstruct each lane's increments, interleave them in time order
-/// (stable, so simultaneous samples keep lane-rank order), and re-
-/// accumulate. Exact even when lanes sample at irregular instants.
-fn rebuild_cumulative(per_lane: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
-    let mut deltas: Vec<(u64, f64)> = Vec::new();
-    for series in per_lane {
-        let mut prev = 0.0;
-        for &(t, v) in series {
-            deltas.push((t, v - prev));
-            prev = v;
-        }
-    }
-    deltas.sort_by_key(|&(t, _)| t);
-    let mut running = 0.0;
-    deltas
-        .into_iter()
-        .map(|(t, d)| {
-            running += d;
-            (t, running)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1078,49 +915,6 @@ mod tests {
             disable();
             assert_eq!(stale.with_metrics(|m| m.counter("x")), 1);
             assert_eq!(fresh.with_metrics(|m| m.counter("x")), 1);
-        });
-    }
-
-    #[test]
-    fn lane_collectors_merge_to_one_run() {
-        with_clean_state(|| {
-            let main = enable();
-            let lane0 = LaneCollector::new(0, None);
-            let lane1 = LaneCollector::new(1, None);
-
-            // Lane 1 sends a parcel to lane 0: begin/inject on lane 1,
-            // receiver-side stages + route claim on lane 0.
-            lane1.install();
-            let id = flow_begin(1, 0, 0, SimTime::from_nanos(10));
-            flow_mark(id, stage::INJECT, SimTime::from_nanos(20));
-            register_route(1, 0, 5, &[id]);
-            counter_add("parcels", 1);
-            lane1.uninstall();
-
-            lane0.install();
-            let claimed = take_route(1, 0, 5);
-            assert_eq!(claimed, vec![id]);
-            flow_mark_many(&claimed, stage::DELIVER, SimTime::from_nanos(90));
-            flow_set_dst_core(&claimed, 2);
-            counter_add("parcels", 2);
-            lane0.uninstall();
-
-            merge_lane_collectors(&main, vec![lane0, lane1]);
-            assert!(enabled(), "main collector re-installed after merge");
-            assert_eq!(main.flow_count(), 1);
-            main.with_flows(|flows| {
-                let rec = &flows[0];
-                assert_eq!(rec.at(stage::PUT), Some(10));
-                assert_eq!(rec.at(stage::INJECT), Some(20));
-                assert_eq!(rec.at(stage::DELIVER), Some(90));
-                assert_eq!(rec.dst_core, 2);
-            });
-            assert_eq!(main.with_metrics(|m| m.counter("parcels")), 3);
-            // In-flight sums to zero (one begin on lane 1, one deliver on
-            // lane 0) and the rebuilt track ends at 0.
-            let track = main.with_metrics(|m| m.track("parcels.in_flight").unwrap().to_vec());
-            assert_eq!(track, vec![(10, 1.0), (90, 0.0)]);
-            disable();
         });
     }
 

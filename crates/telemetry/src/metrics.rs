@@ -100,18 +100,6 @@ impl Metrics {
         self.tracks.get(name).map(|v| v.as_slice())
     }
 
-    /// Replace counter track `name` wholesale. Used by the sharded-world
-    /// merge to rebuild cumulative series (e.g. `parcels.in_flight`)
-    /// from per-lane running values after [`Metrics::merge`] interleaved
-    /// the raw samples.
-    pub fn track_replace(&mut self, name: &str, series: Vec<(u64, f64)>) {
-        if series.is_empty() {
-            self.tracks.remove(name);
-        } else {
-            self.tracks.insert(name.to_string(), series);
-        }
-    }
-
     /// Fold `other` into `self`: counters sum, gauges take `other`'s
     /// value, histograms merge, track series interleave in time order —
     /// equivalent to one registry having recorded the union of both
@@ -214,19 +202,6 @@ impl ContentionTable {
         row.contended += contended as u64;
         row.total_wait_ns += wait_ns;
         row.total_service_ns += service_ns;
-    }
-
-    /// Fold `other`'s rows into this table (events/wait/service sum per
-    /// resource name) — the sharded-world merge. Equivalent to one table
-    /// having observed both event streams.
-    pub fn merge(&mut self, other: &ContentionTable) {
-        for (&name, s) in &other.rows {
-            let row = self.rows.entry(name).or_insert_with(|| ContentionStat::new(s.kind));
-            row.events += s.events;
-            row.contended += s.contended;
-            row.total_wait_ns += s.total_wait_ns;
-            row.total_service_ns += s.total_service_ns;
-        }
     }
 
     /// Rows ranked by total wait time, descending (name breaks ties).

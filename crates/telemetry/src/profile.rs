@@ -334,16 +334,6 @@ impl CoreProfile {
         self.cores.is_empty()
     }
 
-    /// Fold another profile's accounts into this one. Used by the
-    /// sharded-world merge: every lane profiles only its own locality's
-    /// cores, so the `(loc, core)` key sets are disjoint and this is a
-    /// plain union (an already-present key keeps its account).
-    pub fn absorb(&mut self, other: CoreProfile) {
-        for (key, acct) in other.cores {
-            self.cores.entry(key).or_insert(acct);
-        }
-    }
-
     /// One core's live (unfinalized) account.
     pub fn account(&self, loc: usize, core: usize) -> Option<&CoreAccount> {
         self.cores.get(&(loc, core))

@@ -49,13 +49,6 @@ pub struct RunMeta {
     pub params: Vec<(String, String)>,
     /// Cost-model knobs dialed for this run (`--knobs`), by name.
     pub knobs: Vec<String>,
-    /// Engine shard count for sharded-world runs (`--shards N`); `None`
-    /// for legacy single-engine runs, keeping their serialized records
-    /// byte-identical to pre-sharding baselines.
-    pub shards: Option<u64>,
-    /// Engine run mode for sharded-world runs (`seq` / `threaded`);
-    /// `None` for legacy runs.
-    pub run_mode: Option<String>,
 }
 
 impl RunMeta {
@@ -67,18 +60,6 @@ impl RunMeta {
             s.push_str(&self.knobs.join(","));
         }
         s
-    }
-
-    /// Whether two runs describe the same workload for diffing purposes:
-    /// identical except possibly in engine sharding (`shards` /
-    /// `run_mode`), which by the determinism contract must not change
-    /// simulated results. `perf_diff` warns rather than refuses when only
-    /// these differ.
-    pub fn comparable_to(&self, other: &RunMeta) -> bool {
-        self.scenario == other.scenario
-            && self.config == other.config
-            && self.params == other.params
-            && self.knobs == other.knobs
     }
 }
 
@@ -433,19 +414,9 @@ impl RunRecord {
             }
         };
 
-        // Sharding fields are emitted only when set, so legacy records
-        // stay byte-identical to pre-sharding baselines.
-        let mut sharding = String::new();
-        if let Some(s) = self.meta.shards {
-            sharding.push_str(&format!(",\"shards\":{s}"));
-        }
-        if let Some(m) = &self.meta.run_mode {
-            sharding.push_str(&format!(",\"run_mode\":\"{}\"", escape_json(m)));
-        }
-
         format!(
             "{{\"run_record\":{{\"version\":{},\"scenario\":\"{}\",\"config\":\"{}\",\
-             \"params\":{{{}}},\"knobs\":[{}]{},\"end_to_end_ns\":{},\"events\":{},\
+             \"params\":{{{}}},\"knobs\":[{}],\"end_to_end_ns\":{},\"events\":{},\
              \"flows\":{{\"total\":{},\"delivered\":{}}},\"counters\":{{{}}},\
              \"gauges\":{{{}}},\"hists\":{{{}}},\"critpath\":{},\"profile\":[{}],\
              \"resources\":[{}],\"ports\":[{}],\"windows\":{}}}}}",
@@ -454,7 +425,6 @@ impl RunRecord {
             escape_json(&self.meta.config),
             params.join(","),
             knobs.join(","),
-            sharding,
             self.end_to_end_ns,
             self.events,
             self.flows_total,
@@ -494,17 +464,6 @@ impl RunRecord {
         if let Some(arr) = root.get("knobs").and_then(|v| v.as_arr()) {
             for k in arr {
                 rec.meta.knobs.push(k.as_str().ok_or("knob must be a string")?.to_string());
-            }
-        }
-        match root.get("shards") {
-            None | Some(Value::Null) => {}
-            Some(v) => rec.meta.shards = Some(as_u64(v).map_err(|e| format!("shards: {e}"))?),
-        }
-        match root.get("run_mode") {
-            None | Some(Value::Null) => {}
-            Some(v) => {
-                rec.meta.run_mode =
-                    Some(v.as_str().ok_or("run_mode must be a string")?.to_string());
             }
         }
         rec.end_to_end_ns = get_u64(root, "end_to_end_ns")?;
@@ -692,7 +651,6 @@ mod tests {
                 config: "lci_psr_cq_pin_i".into(),
                 params: vec![("window".into(), "64".into()), ("steps".into(), "25".into())],
                 knobs: vec!["wire_latency_x2".into()],
-                ..RunMeta::default()
             },
             end_to_end_ns: 10_000,
             events: 321,
@@ -742,28 +700,6 @@ mod tests {
     fn labels_show_knobs() {
         let rec = sample_record();
         assert_eq!(rec.label(), "fig8_latency_window_8b/lci_psr_cq_pin_i+wire_latency_x2");
-    }
-
-    #[test]
-    fn sharding_meta_roundtrips_and_stays_absent_for_legacy_runs() {
-        let legacy = sample_record();
-        assert!(
-            !legacy.to_json().contains("shards") && !legacy.to_json().contains("run_mode"),
-            "legacy records must not grow new fields"
-        );
-        let mut sharded = sample_record();
-        sharded.meta.shards = Some(4);
-        sharded.meta.run_mode = Some("threaded".into());
-        let back = RunRecord::from_json(&sharded.to_json()).unwrap();
-        assert_eq!(back, sharded);
-        assert_eq!(back.meta.shards, Some(4));
-        assert_eq!(back.meta.run_mode.as_deref(), Some("threaded"));
-        // Differing only in sharding keeps runs comparable; differing in
-        // workload does not.
-        assert!(legacy.meta.comparable_to(&sharded.meta));
-        let mut other = sample_record();
-        other.meta.params.push(("window".into(), "128".into()));
-        assert!(!legacy.meta.comparable_to(&other.meta));
     }
 
     #[test]

@@ -343,12 +343,6 @@ impl Timeline {
         self.cfg.window_ns
     }
 
-    /// The configuration this timeline was built with (used to clone
-    /// per-lane timelines in the sharded world).
-    pub fn config(&self) -> TimelineConfig {
-        self.cfg.clone()
-    }
-
     /// Causal marks to copy into each flight-recorder dump.
     pub fn dump_marks_cap(&self) -> usize {
         self.cfg.dump_marks
@@ -550,58 +544,6 @@ impl Timeline {
             records: self.ring.iter().cloned().collect(),
             marks,
         });
-    }
-
-    /// Fold another timeline's windowed data into this one — the
-    /// sharded-world merge. Windowed histograms merge per window
-    /// (preserving the merge==total invariant against the merged
-    /// aggregate registry), counter deltas and port windows sum, the
-    /// cursor takes the maximum, late samples add, per-lane alerts and
-    /// dumps concatenate (re-sorted by window at finalize; dumps capped),
-    /// and the flight-recorder rings interleave by instant. Windows no
-    /// lane evaluated yet are SLO-evaluated over the *merged* series at
-    /// finalize; windows a lane already settled keep that lane's alerts.
-    pub fn absorb(&mut self, other: Timeline) {
-        self.cursor_ns = self.cursor_ns.max(other.cursor_ns);
-        for (k, ws) in other.hists {
-            let dst = self.hists.entry(k).or_default();
-            for (w, h) in ws {
-                dst.entry(w).or_default().merge(&h);
-            }
-        }
-        for (k, ws) in other.counters {
-            let dst = self.counters.entry(k).or_default();
-            for (w, n) in ws {
-                *dst.entry(w).or_default() += n;
-            }
-        }
-        for (k, ws) in other.ports {
-            let dst = self.ports.entry(k).or_default();
-            for (w, p) in ws {
-                let slot = dst.entry(w).or_default();
-                slot.wait_ns += p.wait_ns;
-                slot.pkts += p.pkts;
-                slot.bytes += p.bytes;
-            }
-        }
-        self.eval_cursor = self.eval_cursor.max(other.eval_cursor);
-        self.late_samples += other.late_samples;
-        self.alerted.extend(other.alerted);
-        self.alerts.extend(other.alerts);
-        for d in other.dumps {
-            if self.dumps.len() < self.cfg.max_dumps {
-                self.dumps.push(d);
-            }
-        }
-        if self.armed.is_none() {
-            self.armed = other.armed;
-        }
-        let mut ring: Vec<FlightRec> = self.ring.drain(..).chain(other.ring).collect();
-        ring.sort_by_key(|r| r.t_ns());
-        self.ring = ring.into();
-        while self.ring.len() > self.cfg.recorder_cap {
-            self.ring.pop_front();
-        }
     }
 
     /// Close out the run: evaluate every remaining window. An armed dump

@@ -67,67 +67,3 @@ pub fn send_all(cfg: WorldConfig, payloads: Vec<Vec<u8>>) -> Delivery {
 pub fn reference_checksums(payloads: &[Vec<u8>]) -> Vec<u64> {
     payloads.iter().map(|p| fnv(p)).collect()
 }
-
-/// Outcome of a counted-delivery workload on the sharded (federated)
-/// world — the parallel-engine analogue of [`Delivery`].
-pub struct ShardedDelivery {
-    /// The world after the run (for nested-event inspection).
-    pub world: hpx_lci_repro::parcelport::ShardedWorld,
-    /// Messages delivered to the sink action.
-    pub delivered: usize,
-    /// Concatenation-order payload checksums seen by the sink.
-    pub checksums: Vec<u64>,
-}
-
-/// [`send_all`] on the sharded engine: same workload, one engine lane
-/// per locality over `shards` shards, run to quiescence under `mode`.
-/// Counters live in atomics because the two lanes may execute on
-/// different threads; the checksum order is deterministic regardless
-/// (one consumer lane, nested virtual-time order).
-pub fn send_all_sharded(
-    cfg: WorldConfig,
-    payloads: Vec<Vec<u8>>,
-    shards: usize,
-    mode: hpx_lci_repro::simcore::shard::RunMode,
-) -> ShardedDelivery {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    let delivered = Arc::new(AtomicUsize::new(0));
-    let checksums = Arc::new(Mutex::new(Vec::new()));
-    let d = delivered.clone();
-    let c = checksums.clone();
-    let mut world = hpx_lci_repro::parcelport::build_sharded_world(
-        &cfg,
-        shards,
-        move |_rank| {
-            let mut registry = ActionRegistry::new();
-            let delivered = d.clone();
-            let checksums = c.clone();
-            registry.register("sink", move |sim, _loc, _core, p| {
-                delivered.fetch_add(1, Ordering::Relaxed);
-                checksums.lock().unwrap().push(fnv(&p.args[0]));
-                sim.now() + 150
-            });
-            registry.into()
-        },
-        move |rank, sim, loc| {
-            if rank != 0 {
-                return;
-            }
-            let sink = loc.with_registry(|r| r.id_of("sink").unwrap());
-            for payload in payloads.clone() {
-                let data = Bytes::from(payload);
-                loc.spawn(
-                    sim,
-                    0,
-                    Box::new(move |sim, loc, core| loc.send_action(sim, core, 1, sink, vec![data])),
-                );
-            }
-        },
-    );
-    world.engine.set_exec_capture(true);
-    world.run(Some(mode));
-    let sums = checksums.lock().unwrap().clone();
-    ShardedDelivery { world, delivered: delivered.load(Ordering::Relaxed), checksums: sums }
-}

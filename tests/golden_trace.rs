@@ -245,396 +245,6 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
     assert!(late_flows > 0, "dump must include parcels delivered after the fault");
 }
 
-mod sharded {
-    //! Sharded-engine golden pins: the parallel engine's canonical
-    //! timeline for a fixed workload, frozen at capture time from the
-    //! 1-shard sequential run. Every placement (1/2/4 shards) and both
-    //! executors (sequential, threaded) must reproduce it bit-for-bit,
-    //! and turning on the tracer + causal capture must not move it —
-    //! observation stays pure under parallelism exactly as it does on
-    //! the single-threaded engine above.
-
-    use std::any::Any;
-
-    use hpx_lci_repro::simcore::{LaneCtx, LaneId, ShardActor, ShardedSim, SimTime};
-
-    const LOOKAHEAD_NS: u64 = 250;
-    const LANES: usize = 8;
-    const SEED: u64 = 0x5EED_601D_7274_ACE5;
-
-    /// Pinned `(end time ns, events executed, canonical digest)` for the
-    /// workload below, captured from the 1-shard sequential run.
-    const PIN_END_NS: u64 = 1_141;
-    const PIN_EXECUTED: u64 = 488;
-    const PIN_DIGEST: u64 = 0x653f_7b05_2802_134a;
-
-    /// Self-driving actor: each event advances a private xorshift RNG and
-    /// either schedules locally (ties at `now` included), sends cross-lane
-    /// at `now + lookahead + jitter`, or cancels/reschedules a pending
-    /// handle — the stream depends only on the seed and the actor's own
-    /// history, never on placement.
-    struct Pinned {
-        rng: u64,
-        budget: u32,
-        pending: Vec<hpx_lci_repro::simcore::ShardEventId>,
-    }
-
-    impl Pinned {
-        fn next(&mut self) -> u64 {
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            self.rng
-        }
-    }
-
-    impl ShardActor for Pinned {
-        fn on_event(&mut self, ctx: &mut LaneCtx<'_>, _arg: u64) {
-            // One span per delivered event when the observer is on — the
-            // purity test below checks the merged population is complete.
-            let (now, lane) = (ctx.now(), ctx.lane().0);
-            if let Some(tr) = ctx.tracer() {
-                tr.span(format!("lane{lane}"), "event", now, now + 1);
-            }
-            for _ in 0..2 {
-                if self.budget == 0 {
-                    break;
-                }
-                let r = self.next();
-                match r % 4 {
-                    0 | 1 => {
-                        self.budget -= 1;
-                        let id = ctx.schedule_in(r >> 8 & 63, r);
-                        self.pending.push(id);
-                    }
-                    2 => {
-                        self.budget -= 1;
-                        let peer = LaneId((r as u32 >> 16) % LANES as u32);
-                        let at = ctx.now() + ctx.lookahead() + (r >> 8 & 31);
-                        ctx.send(peer, at, r);
-                    }
-                    _ => {
-                        if !self.pending.is_empty() {
-                            let i = (r as usize >> 16) % self.pending.len();
-                            if r & 1 == 0 {
-                                ctx.cancel(self.pending.swap_remove(i));
-                            } else {
-                                let at = ctx.now() + (r >> 8 & 127);
-                                ctx.reschedule(self.pending[i], at);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    fn run(shards: usize, threaded: bool, observed: bool) -> (u64, u64, u64, ShardedSim) {
-        let mut sim = ShardedSim::new(shards, LOOKAHEAD_NS);
-        sim.set_exec_capture(true);
-        if observed {
-            sim.set_tracing(true);
-            sim.set_causal_capture(true);
-        }
-        for lane in 0..LANES {
-            let w = Pinned {
-                rng: SEED ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1),
-                budget: 60,
-                pending: Vec::new(),
-            };
-            sim.add_actor(lane % shards, Box::new(w));
-        }
-        for lane in 0..LANES as u32 {
-            sim.seed(LaneId(lane), SimTime::from_nanos(lane as u64 % 3), lane as u64);
-        }
-        let report = if threaded { sim.run_threaded() } else { sim.run_sequential() };
-        assert_eq!(sim.events_pending(), 0, "run must drain");
-        (report.end.as_nanos(), report.executed, sim.digest(), sim)
-    }
-
-    #[test]
-    #[ignore]
-    fn capture_pins() {
-        let (end, executed, digest, _) = run(1, false, false);
-        eprintln!("PIN_END_NS: {end}  PIN_EXECUTED: {executed}  PIN_DIGEST: {digest:#018x}");
-    }
-
-    #[test]
-    fn every_placement_matches_the_pinned_timeline() {
-        for &(shards, threaded) in &[(1, false), (2, false), (2, true), (4, false), (4, true)] {
-            let (end, executed, digest, _) = run(shards, threaded, false);
-            let what =
-                format!("{shards} shard(s) {}", if threaded { "threaded" } else { "sequential" });
-            assert_eq!(end, PIN_END_NS, "{what}: virtual end time moved");
-            assert_eq!(executed, PIN_EXECUTED, "{what}: event count moved");
-            assert_eq!(digest, PIN_DIGEST, "{what}: canonical digest moved");
-        }
-    }
-
-    #[test]
-    fn tracer_and_causal_capture_stay_pure_under_sharding() {
-        for &(shards, threaded) in &[(1, false), (4, false), (4, true)] {
-            let (end, executed, digest, mut sim) = run(shards, threaded, true);
-            let what =
-                format!("{shards} shard(s) {}", if threaded { "threaded" } else { "sequential" });
-            assert_eq!(end, PIN_END_NS, "{what}: tracing moved the end time");
-            assert_eq!(executed, PIN_EXECUTED, "{what}: tracing moved the event count");
-            assert_eq!(digest, PIN_DIGEST, "{what}: tracing moved the digest");
-            // The observation itself must be complete and deterministic:
-            // the merged causal log records every executed event, and the
-            // merged tracer carries the same span population regardless of
-            // placement or executor.
-            let log = sim.merged_causal().expect("causal capture was on");
-            assert_eq!(
-                log.node_count() as u64,
-                executed,
-                "{what}: merged causal log must record every executed event"
-            );
-            let spans = sim.merged_tracer().spans().len();
-            assert_eq!(
-                spans as u64, executed,
-                "{what}: merged tracer must carry one span per executed event"
-            );
-        }
-    }
-}
-
-mod sharded_world {
-    //! Federated-world golden pins: the `World`/`Locality` layer running
-    //! one engine lane per locality on the sharded conservative engine.
-    //! Engine placement is pure mechanics — every shard count and both
-    //! executors must reproduce the *single-heap* world's pinned
-    //! timeline bit-for-bit: same virtual end time, same delivery
-    //! digest, same per-lane event total, same canonical engine log.
-
-    use super::{common, fnv_u64s, payloads, GOLDEN};
-    use common::{send_all, send_all_sharded};
-    use hpx_lci_repro::parcelport::WorldConfig;
-    use hpx_lci_repro::simcore::shard::RunMode;
-
-    const PLACEMENTS: &[(usize, RunMode)] = &[
-        (1, RunMode::Sequential),
-        (1, RunMode::Threaded),
-        (2, RunMode::Sequential),
-        (2, RunMode::Threaded),
-    ];
-
-    /// `(config, quiescence end ns, nested events executed, canonical
-    /// engine digest)` — captured from the 1-shard sequential federated
-    /// run. The end time and event count exceed the single-heap GOLDEN
-    /// values *by design*: the single-heap harness stops the instant the
-    /// 40th delivery lands, while the federated engine runs its lanes to
-    /// quiescence (trailing sink completions and progress-poll
-    /// wind-down). The delivery digest, by contrast, must equal GOLDEN
-    /// exactly — what is delivered, in what order, with what content is
-    /// engine-independent.
-    const SHARDED_PINS: &[(&str, u64, u64, u64)] = &[
-        ("lci_psr_cq_pin_i", 78_001, 185, 0xc08cfcaf068fb099),
-        ("mpi", 369_326, 988, 0x32bdcc3f2e9b5e29),
-        ("lci_sr_sy_mt_i", 161_000, 316, 0x9c6df252f031af0f),
-    ];
-
-    /// Single-heap delivery digest for `name` (from the GOLDEN table).
-    fn golden_delivery_digest(name: &str) -> u64 {
-        GOLDEN.iter().find(|g| g.0 == name).expect("config pinned in GOLDEN").3
-    }
-
-    #[test]
-    #[ignore]
-    fn capture_pins() {
-        for &(name, ..) in SHARDED_PINS {
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, super::payloads(), 1, RunMode::Sequential);
-            eprintln!(
-                "(\"{name}\", {}, {}, {:#018x}),",
-                d.world.now().as_nanos(),
-                d.world.events_executed(),
-                d.world.engine.digest(),
-            );
-        }
-    }
-
-    /// Every pinned two-node timeline survives federation: the delivery
-    /// digest equals the single-heap GOLDEN constant, and the quiescence
-    /// end time, nested event total, and canonical engine log are
-    /// identical at every shard count under both executors.
-    #[test]
-    fn federated_world_matches_single_heap_pins() {
-        for &(name, end_ns, executed, engine_digest) in SHARDED_PINS {
-            for &(shards, mode) in PLACEMENTS {
-                let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-                cfg.seed = 11;
-                let d = send_all_sharded(cfg, payloads(), shards, mode);
-                let what = format!("{name} shards={shards} {mode:?}");
-                assert_eq!(d.delivered, 40, "{what}: lost deliveries");
-                assert_eq!(
-                    fnv_u64s(&d.checksums),
-                    golden_delivery_digest(name),
-                    "{what}: delivery order/content diverged from the single-heap world"
-                );
-                assert_eq!(
-                    d.world.now().as_nanos(),
-                    end_ns,
-                    "{what}: quiescence end time moved with placement"
-                );
-                assert_eq!(
-                    d.world.events_executed(),
-                    executed,
-                    "{what}: nested event total moved with placement"
-                );
-                assert_eq!(
-                    d.world.engine.digest(),
-                    engine_digest,
-                    "{what}: canonical engine digest moved with placement"
-                );
-            }
-        }
-    }
-
-    /// Scenario-level pins on the paper workloads (reduced sizes):
-    /// `(comm-done ns, nested events)` for the fig1 message-rate run,
-    /// finish-time ns for the fig8 window-8 latency run, and `(total ns,
-    /// nested events)` for the 4-locality octotiger run — identical at
-    /// every shard count under both executors, and identical to the
-    /// legacy single-heap runner computed in the same process.
-    #[test]
-    fn scenario_results_are_placement_invariant() {
-        use hpx_lci_repro::octotiger_mini::{run_octotiger, run_octotiger_sharded, OctoParams};
-
-        // fig1 message rate, reduced.
-        let mut mp = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
-        mp.total_msgs = 2_000;
-        mp.batch = 50;
-        mp.cores = 8;
-        let legacy = bench::run_msgrate(&mp);
-        assert!(legacy.completed);
-        for &(shards, mode) in PLACEMENTS {
-            let r = bench::run_msgrate_sharded(&mp, shards, Some(mode));
-            assert!(r.completed, "fig1 shards={shards} {mode:?}");
-            assert_eq!(r.comm_done, legacy.comm_done, "fig1 shards={shards} {mode:?}");
-            assert_eq!(r.injection_done, legacy.injection_done);
-        }
-
-        // fig8 latency, window 8, reduced.
-        let mut lp = bench::LatencyParams::new("lci_psr_cq_pin_i".parse().unwrap(), 8);
-        lp.window = 8;
-        lp.steps = 50;
-        lp.cores = 8;
-        let legacy = bench::run_latency(&lp);
-        assert!(legacy.completed);
-        for &(shards, mode) in PLACEMENTS {
-            let r = bench::run_latency_sharded(&lp, shards, Some(mode));
-            assert!(r.completed, "fig8 shards={shards} {mode:?}");
-            assert_eq!(r.total, legacy.total, "fig8 w8 shards={shards} {mode:?}");
-        }
-
-        // Octotiger on 4 localities — here shard counts above 2 engage.
-        let mut op = OctoParams::expanse("lci_psr_cq_pin_i".parse().unwrap(), 4);
-        op.level = 4;
-        op.steps = 2;
-        op.cores = 6;
-        let legacy = run_octotiger(&op);
-        assert!(legacy.completed && legacy.mass_ok);
-        // 8 shards exercises the clamp (4 localities -> 4 lanes).
-        for &(shards, mode) in &[
-            (1, RunMode::Sequential),
-            (2, RunMode::Threaded),
-            (4, RunMode::Sequential),
-            (4, RunMode::Threaded),
-            (8, RunMode::Threaded),
-        ] {
-            let r = run_octotiger_sharded(&op, shards, Some(mode));
-            assert!(r.completed && r.mass_ok, "octo shards={shards} {mode:?}");
-            assert_eq!(r.total, legacy.total, "octo L4 shards={shards} {mode:?}");
-        }
-    }
-
-    /// Telemetry purity under threaded execution: with a collector on,
-    /// the threaded 2-shard run reproduces the pinned timeline
-    /// bit-for-bit while the merged per-lane collectors carry the
-    /// complete observation — one flow per parcel, all delivered.
-    #[test]
-    fn telemetry_stays_pure_under_threaded_sharding() {
-        for &(name, end_ns, executed, _) in SHARDED_PINS {
-            let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, payloads(), 2, RunMode::Threaded);
-            hpx_lci_repro::telemetry::disable();
-            assert_eq!(d.delivered, 40, "{name}: lost deliveries under telemetry");
-            assert_eq!(
-                d.world.now().as_nanos(),
-                end_ns,
-                "{name}: telemetry moved the threaded federated end time"
-            );
-            assert_eq!(
-                fnv_u64s(&d.checksums),
-                golden_delivery_digest(name),
-                "{name}: telemetry changed threaded federated delivery order"
-            );
-            assert_eq!(
-                d.world.events_executed(),
-                executed,
-                "{name}: telemetry changed the threaded federated event count"
-            );
-            // The merged observation must be complete: one flow per
-            // parcel with the end-to-end stage chain, exactly as the
-            // single-heap collector records it.
-            assert_eq!(tel.flow_count(), 40, "{name}: expected one flow per parcel");
-            let b = tel.breakdown(name);
-            assert_eq!(b.delivered, 40, "{name}: flows lost before delivery");
-            assert!(b.total.summary.count > 0, "{name}: no end-to-end latencies recorded");
-        }
-    }
-
-    /// The merged telemetry of a federated run equals the single-heap
-    /// collector's on the same workload: same flow population, same
-    /// delivered count, same parcel-latency histogram — lane merge is
-    /// exact, not approximate.
-    #[test]
-    fn merged_lane_telemetry_equals_single_heap_collector() {
-        let name = "lci_psr_cq_pin_i";
-        let run_legacy = || {
-            let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all(cfg, payloads());
-            drop(d);
-            hpx_lci_repro::telemetry::disable();
-            tel
-        };
-        let run_sharded = |shards, mode| {
-            let tel = hpx_lci_repro::telemetry::enable();
-            let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
-            cfg.seed = 11;
-            let d = send_all_sharded(cfg, payloads(), shards, mode);
-            drop(d);
-            hpx_lci_repro::telemetry::disable();
-            tel
-        };
-        let legacy = run_legacy();
-        let lh = legacy
-            .with_metrics(|m| m.hist("amt.msg_bytes").cloned())
-            .expect("legacy run records message sizes");
-        for &(shards, mode) in PLACEMENTS {
-            let tel = run_sharded(shards, mode);
-            let what = format!("shards={shards} {mode:?}");
-            assert_eq!(tel.flow_count(), legacy.flow_count(), "{what}: flow population moved");
-            let sh = tel
-                .with_metrics(|m| m.hist("amt.msg_bytes").cloned())
-                .expect("sharded run records message sizes");
-            assert_eq!(sh, lh, "{what}: merged message-size histogram diverged");
-            let b = tel.breakdown(name);
-            assert_eq!(b.delivered, legacy.breakdown(name).delivered, "{what}: delivered moved");
-        }
-    }
-}
-
 fn fnv_bytes(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -663,9 +273,6 @@ fn run_record_capture_is_pure_and_pinned() {
         config: "lci_psr_cq_pin_i".into(),
         params: vec![("total_msgs".into(), "1000".into())],
         knobs: vec![],
-        // Legacy single-engine run: both engine fields stay None so the
-        // serialized record is byte-identical to pre-sharding baselines.
-        ..RunMeta::default()
     };
     let run = || {
         let tel = hpx_lci_repro::telemetry::enable();
