@@ -354,10 +354,13 @@ mod tests {
     use bytes::Bytes;
     use std::cell::RefCell;
 
+    /// Messages a [`StubPort`] was handed, with their destinations.
+    type SentLog = Rc<RefCell<Vec<(usize, HpxMessage)>>>;
+
     /// A parcelport stub that records messages and completes sends after
     /// a fixed delay.
     struct StubPort {
-        sent: Rc<RefCell<Vec<(usize, HpxMessage)>>>,
+        sent: SentLog,
         delay: u64,
     }
 
@@ -391,10 +394,7 @@ mod tests {
         }
     }
 
-    fn world(
-        cfg: ParcelLayerConfig,
-        delay: u64,
-    ) -> (Sim, Rc<Locality>, Rc<RefCell<Vec<(usize, HpxMessage)>>>) {
+    fn world(cfg: ParcelLayerConfig, delay: u64) -> (Sim, Rc<Locality>, SentLog) {
         let sim = Sim::new(0);
         let loc = Locality::new(
             0,

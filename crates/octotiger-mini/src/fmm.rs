@@ -54,6 +54,7 @@ impl Default for ComputeModel {
 }
 
 /// Per-step, per-locality mutable state.
+#[derive(Default)]
 struct StepState {
     /// Internal node -> (children still missing, mass accum, weighted center).
     pending_children: HashMap<NodeId, (usize, f64, [f64; 3])>,
@@ -71,7 +72,6 @@ struct StepState {
 pub struct AppState {
     tree: Rc<Octree>,
     part: Rc<Partition>,
-    neighbors: Rc<HashMap<NodeId, Vec<NodeId>>>,
     me: usize,
     my_leaves: Vec<NodeId>,
     step: StepState,
@@ -167,8 +167,9 @@ impl AppState {
         let mut got_l2l = HashMap::new();
         let ghosts_on = self.compute.ghost_bytes > 0;
         for &l in &self.my_leaves {
-            pending_neighbors.insert(l, self.neighbors[&l].len());
-            pending_ghosts.insert(l, if ghosts_on { self.neighbors[&l].len() } else { 0 });
+            let nbrs = self.tree.leaf_neighbors(l).len();
+            pending_neighbors.insert(l, nbrs);
+            pending_ghosts.insert(l, if ghosts_on { nbrs } else { 0 });
             got_l2l.insert(l, false);
         }
         StepState { pending_children, pending_neighbors, pending_ghosts, got_l2l, leaves_done: 0 }
@@ -202,12 +203,11 @@ pub fn register_actions(
                 core,
                 Box::new(move |sim, loc, core| {
                     let mut t = sim.now() + leaf_cost;
-                    let (tree, part, nbrs, ghost_bytes, acts) = {
+                    let (tree, part, ghost_bytes, acts) = {
                         let s = state.borrow();
                         (
                             s.tree.clone(),
                             s.part.clone(),
-                            s.neighbors[&leaf].clone(),
                             s.compute.ghost_bytes,
                             ACTIONS.with(|a| a.borrow().expect("actions registered")),
                         )
@@ -217,7 +217,7 @@ pub fn register_actions(
                     let parent = tree.node(leaf).parent;
                     let payload = encode_m2m(parent, mass, center);
                     t = invoke(sim, loc, core, part.owner(parent), acts.m2m, vec![payload]).max(t);
-                    for nb in nbrs {
+                    for &nb in tree.leaf_neighbors(leaf) {
                         let payload = encode_m2m(nb, mass, center);
                         t = invoke(sim, loc, core, part.owner(nb), acts.m2l, vec![payload]).max(t);
                         if ghost_bytes > 0 {
@@ -453,7 +453,7 @@ fn finish_leaf(
             t += s.compute.hydro_update;
         }
         s.step.leaves_done += 1;
-        s.step.leaves_done == s.my_leaves_len()
+        s.step.leaves_done == s.my_leaves.len()
     };
     if all_done {
         let (checksum, loc_done) = {
@@ -475,23 +475,19 @@ fn finish_leaf(
 }
 
 impl AppState {
-    fn my_leaves_len(&self) -> usize {
-        self.my_leaves.len()
-    }
-
     /// Diagnostic snapshot of the current step's progress.
     pub fn debug_summary(&self) -> String {
         let pend_children: usize = self.step.pending_children.values().filter(|e| e.0 > 0).count();
         let pend_nbr: usize = self.step.pending_neighbors.values().filter(|&&n| n > 0).count();
         let pend_ghost: usize = self.step.pending_ghosts.values().filter(|&&n| n > 0).count();
-        let _ = pend_ghost;
         let missing_l2l = self.step.got_l2l.values().filter(|&&g| !g).count();
         format!(
-            "leaves={} done={} pend_internal={} pend_nbr={} missing_l2l={} locs_done={}",
+            "leaves={} done={} pend_internal={} pend_nbr={} pend_ghost={} missing_l2l={} locs_done={}",
             self.my_leaves.len(),
             self.step.leaves_done,
             pend_children,
             pend_nbr,
+            pend_ghost,
             missing_l2l,
             self.locs_done
         )
@@ -505,11 +501,6 @@ impl AppState {
         steps: u32,
         compute: ComputeModel,
     ) -> Rc<Vec<Rc<RefCell<AppState>>>> {
-        let mut neighbors = HashMap::new();
-        for &l in tree.leaves() {
-            neighbors.insert(l, tree.leaf_neighbors(l));
-        }
-        let neighbors = Rc::new(neighbors);
         let states: Vec<Rc<RefCell<AppState>>> = (0..localities)
             .map(|me| {
                 let my_leaves: Vec<NodeId> =
@@ -517,16 +508,9 @@ impl AppState {
                 let mut s = AppState {
                     tree: tree.clone(),
                     part: part.clone(),
-                    neighbors: neighbors.clone(),
                     me,
                     my_leaves,
-                    step: StepState {
-                        pending_children: HashMap::new(),
-                        pending_neighbors: HashMap::new(),
-                        pending_ghosts: HashMap::new(),
-                        got_l2l: HashMap::new(),
-                        leaves_done: 0,
-                    },
+                    step: StepState::default(),
                     locs_done: 0,
                     mass_checksum: 0.0,
                     steps_completed: 0,
@@ -541,5 +525,23 @@ impl AppState {
             })
             .collect();
         Rc::new(states)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sfc::partition;
+
+    #[test]
+    fn debug_summary_reports_pending_ghosts() {
+        let tree = Rc::new(Octree::build(2));
+        let part = Rc::new(partition(&tree, 2));
+        let states = AppState::build_all(tree.clone(), part, 2, 1, ComputeModel::default());
+        let s = states[0].borrow();
+        let waiting = s.my_leaves.iter().filter(|&&l| !tree.leaf_neighbors(l).is_empty()).count();
+        assert!(waiting > 0);
+        let summary = s.debug_summary();
+        assert!(summary.contains(&format!(" pend_ghost={waiting} ")), "{summary}");
     }
 }

@@ -1,5 +1,7 @@
 //! The adaptive octree: refined around a binary-star shell.
 
+use std::collections::HashMap;
+
 /// Index of a tree node in the [`Octree`]'s node array.
 pub type NodeId = usize;
 
@@ -38,6 +40,8 @@ impl Node {
 pub struct Octree {
     nodes: Vec<Node>,
     leaves: Vec<NodeId>,
+    /// Face neighbours of each node (see [`Octree::leaf_neighbors`]).
+    neighbors: Vec<Vec<NodeId>>,
 }
 
 /// The binary-star refinement predicate: distance of the cell center to
@@ -97,8 +101,25 @@ impl Octree {
             }
             frontier = next;
         }
-        let leaves = (0..nodes.len()).filter(|&i| nodes[i].is_leaf()).collect();
-        Octree { nodes, leaves }
+        let leaves: Vec<NodeId> = (0..nodes.len()).filter(|&i| nodes[i].is_leaf()).collect();
+        // Face neighbours in O(nodes): leaves, in ascending id, join the lists
+        // of the same-level nodes beside them, looked up by (level, cell
+        // coordinates), so every list is ascending. A step below coordinate 0
+        // wraps to a key no cell has.
+        let index: HashMap<_, NodeId> =
+            nodes.iter().enumerate().map(|(i, n)| (cell(n), i)).collect();
+        let mut neighbors = vec![Vec::new(); nodes.len()];
+        for &l in &leaves {
+            let (level, xyz) = cell(&nodes[l]);
+            for (axis, step) in (0..3).flat_map(|axis| [(axis, -1), (axis, 1)]) {
+                let mut c = xyz;
+                c[axis] = c[axis].wrapping_add_signed(step);
+                if let Some(&n) = index.get(&(level, c)) {
+                    neighbors[n].push(l);
+                }
+            }
+        }
+        Octree { nodes, leaves, neighbors }
     }
 
     /// All nodes.
@@ -132,25 +153,11 @@ impl Octree {
         1.0 + (n.morton % 97) as f64 / 97.0
     }
 
-    /// Face-adjacent same-level leaf neighbors of `id` (up to 6). Two
-    /// leaves are neighbors when they share a face: centers differ by one
-    /// cell width along exactly one axis.
-    pub fn leaf_neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        let me = &self.nodes[id];
-        let w = me.half * 2.0;
-        let eps = me.half * 0.1;
-        self.leaves
-            .iter()
-            .copied()
-            .filter(|&o| o != id && self.nodes[o].level == me.level)
-            .filter(|&o| {
-                let c = &self.nodes[o].center;
-                let d: Vec<f64> = (0..3).map(|k| (c[k] - me.center[k]).abs()).collect();
-                let on_axis = d.iter().filter(|&&x| (x - w).abs() < eps).count();
-                let zeros = d.iter().filter(|&&x| x < eps).count();
-                on_axis == 1 && zeros == 2
-            })
-            .collect()
+    /// Face-adjacent same-level leaf neighbors of `id` (up to 6), in
+    /// ascending node id. Two leaves are neighbors when they share a face:
+    /// their cell coordinates differ by one along exactly one axis.
+    pub fn leaf_neighbors(&self, id: NodeId) -> &[NodeId] {
+        &self.neighbors[id]
     }
 
     /// Exact sum of all leaf masses — the conserved quantity the FMM
@@ -158,6 +165,13 @@ impl Octree {
     pub fn total_mass(&self) -> f64 {
         self.leaves.iter().map(|&l| self.leaf_mass(l)).sum()
     }
+}
+
+/// A node's level and integer cell coordinates at that level, de-interleaved
+/// from its Morton key (bit 0 = x, bit 1 = y, bit 2 = z at each level).
+fn cell(n: &Node) -> (u32, [u64; 3]) {
+    let axis = |a: u32| (0..n.level).map(|bit| ((n.morton >> (3 * bit + a)) & 1) << bit).sum();
+    (n.level, [axis(0), axis(1), axis(2)])
 }
 
 #[cfg(test)]
@@ -211,13 +225,55 @@ mod tests {
         }
     }
 
+    /// The brute-force scan the index replaced: every same-level leaf
+    /// whose center sits one cell width away along exactly one axis.
+    fn scan_neighbors(t: &Octree, id: NodeId) -> Vec<NodeId> {
+        let me = t.node(id);
+        let w = me.half * 2.0;
+        let eps = me.half * 0.1;
+        let mut out = Vec::new();
+        for &o in t.leaves() {
+            let n = t.node(o);
+            if o == id || n.level != me.level {
+                continue;
+            }
+            let (mut on_axis, mut zeros) = (0, 0);
+            for k in 0..3 {
+                let d = (n.center[k] - me.center[k]).abs();
+                on_axis += usize::from((d - w).abs() < eps);
+                zeros += usize::from(d < eps);
+            }
+            if on_axis == 1 && zeros == 2 {
+                out.push(o);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn neighbor_index_matches_the_scan() {
+        for level in 0..=6 {
+            let t = Octree::build(level);
+            for id in 0..t.len() {
+                assert_eq!(t.leaf_neighbors(id), scan_neighbors(&t, id), "level {level} node {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_count_is_pinned_at_level_six() {
+        let t = Octree::build(6);
+        let total: usize = t.leaves().iter().map(|&l| t.leaf_neighbors(l).len()).sum();
+        assert_eq!(total, 47_262);
+    }
+
     #[test]
     fn neighbors_are_symmetric_and_bounded() {
-        let t = Octree::build(3);
+        let t = Octree::build(6);
         for &l in t.leaves() {
             let nb = t.leaf_neighbors(l);
             assert!(nb.len() <= 6);
-            for &o in &nb {
+            for &o in nb {
                 assert!(t.leaf_neighbors(o).contains(&l), "neighbor relation must be symmetric");
             }
         }
