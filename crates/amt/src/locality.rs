@@ -5,10 +5,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use simcore::causal::{self, MarkKind};
-use simcore::{
-    CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime, Tracer,
-};
+use simcore::recorder::{self, MarkKind};
+use simcore::{CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime};
 
 use telemetry::CoreState;
 
@@ -105,7 +103,6 @@ pub struct Locality {
     registry: RefCell<ActionRegistry>,
     layer: RefCell<ParcelLayer>,
     parcelport: RefCell<Option<Rc<RefCell<dyn Parcelport>>>>,
-    tracer: RefCell<Option<Tracer>>,
     /// Self-reference for registering as an event handler.
     weak: Weak<Locality>,
     /// Typed-event handler id, registered lazily on first use. A locality
@@ -144,7 +141,6 @@ impl Locality {
             registry: RefCell::new(registry),
             layer: RefCell::new(ParcelLayer::new(layer_cfg, &cost)),
             parcelport: RefCell::new(None),
-            tracer: RefCell::new(None),
             cost,
             weak: weak.clone(),
             handler: Cell::new(None),
@@ -188,22 +184,11 @@ impl Locality {
         self.parcelport.borrow().clone()
     }
 
-    /// Attach a tracer: every task, background-work slice and progress
-    /// slice on this locality is recorded as a span (track
-    /// `loc<id>/core<k>`). Retrieve with [`Locality::take_tracer`].
-    pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer);
-    }
-
-    /// Detach and return the tracer, if one was attached.
-    pub fn take_tracer(&self) -> Option<Tracer> {
-        self.tracer.borrow_mut().take()
-    }
-
+    /// Record a task, background-work or progress slice on `core` as a
+    /// span on track `loc<id>/core<k>` of the installed collector (the
+    /// `format!` only runs when one is installed).
     fn trace(&self, core: usize, label: &'static str, start: SimTime, end: SimTime) {
-        if let Some(tr) = self.tracer.borrow_mut().as_mut() {
-            tr.span(format!("loc{}/core{}", self.id, core), label, start, end);
-        }
+        telemetry::with(|tel| tel.span(format!("loc{}/core{}", self.id, core), label, start, end));
     }
 
     /// Sample the run-queue depth as a counter track (the `format!` only
@@ -339,7 +324,7 @@ impl Locality {
             // Worker threads poll opportunistically: they notice the
             // event one polling period later than a spinning thread.
             let skewed = at + self.cost.worker_poll_skew;
-            causal::mark("worker.poll_skew", MarkKind::Wait, at, skewed, 0);
+            recorder::mark("worker.poll_skew", MarkKind::Wait, at, skewed, 0);
             let at = skewed;
             self.wake_workers(sim, at, 1);
             // Ensure at least one worker will look even if all are busy:
@@ -747,19 +732,19 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_task_spans() {
+    fn collector_records_task_spans() {
         let mut sim = Sim::new(0);
         let loc = locality(WorkerConfig::workers_only(2));
-        loc.set_tracer(Tracer::new());
+        let tel = telemetry::enable();
         loc.start(&mut sim);
         loc.spawn(&mut sim, 0, Box::new(|sim, _l, _c| sim.now() + 2_000));
         sim.run();
-        let tr = loc.take_tracer().expect("tracer attached");
-        assert!(!tr.is_empty());
-        let totals = tr.totals_by_label();
+        telemetry::disable();
+        assert!(tel.span_count() > 0);
+        let totals = tel.span_totals();
         assert_eq!(totals[0].0, "task");
         assert!(totals[0].1 >= 2_000);
-        assert!(tr.to_chrome_json().contains("loc0/core"));
+        assert!(tel.chrome_trace_collected().contains("loc0/core"));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use simcore::causal::{self, MarkKind};
+use simcore::recorder::{self, MarkKind};
 use simcore::{CostModel, Sim, SimResource, SimTime};
 
 use crate::locality::Locality;
@@ -166,7 +166,7 @@ impl ParcelLayer {
                 sim.now(),
                 t,
             );
-            causal::mark("amt.serialize", MarkKind::Work, sim.now(), t, 0);
+            recorder::mark("amt.serialize", MarkKind::Work, sim.now(), t, 0);
             if flow != 0 {
                 telemetry::flow_mark(flow, telemetry::stage::SERIALIZE, t);
                 msg.flows.push(flow);
@@ -280,7 +280,7 @@ impl ParcelLayer {
         // The queue resource emitted its own wait mark for the prefix of
         // `[t0, t1)`; this mark (later in emission order) claims only the
         // remaining service part under the critical-path carve.
-        causal::mark("amt.serialize", MarkKind::Work, t0, t1, 0);
+        recorder::mark("amt.serialize", MarkKind::Work, t0, t1, 0);
         telemetry::flow_mark_many(&msg.flows, telemetry::stage::SERIALIZE, t1);
         loc.with_layer(|l| {
             l.messages_sent += 1;

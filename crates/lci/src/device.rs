@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::{Fabric, NodeId, Packet, PollOutcome};
-use simcore::causal::{self, MarkKind};
+use simcore::recorder::{self, MarkKind};
 use simcore::{CostModel, Sim, SimResource, SimTime, SimTryLock, TryAcquire};
 
 use crate::comp::{Comp, CompQueue, Request};
@@ -468,7 +468,7 @@ impl Device {
                 self.progress_lock.extend(t);
                 // The try-lock was taken with hold 0 and extended as work
                 // accrued, so emit the real critical-section span here.
-                causal::mark("lci.progress", MarkKind::Hold, now, t, 0);
+                recorder::mark("lci.progress", MarkKind::Hold, now, t, 0);
                 sim.stats.bump("lci.progress");
                 telemetry::counter_add_at("lci.progress_polls", 1, t);
                 telemetry::counter_add_at("lci.progress_handled", handled as u64, t);

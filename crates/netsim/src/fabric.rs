@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use rand::Rng;
-use simcore::causal::{self, MarkKind};
+use simcore::recorder::{self, MarkKind};
 use simcore::{Sim, SimResource, SimTime};
 
 use crate::model::WireModel;
@@ -251,7 +251,7 @@ impl Fabric {
             dup_at = r.dup_deliver_at;
             // Causal wire span: injection through final delivery; the
             // `fixed` part is the path's pure propagation latency.
-            causal::mark("net.wire", MarkKind::Wire, inj_start, r.deliver_at, r.prop_ns);
+            recorder::mark("net.wire", MarkKind::Wire, inj_start, r.deliver_at, r.prop_ns);
             r.deliver_at
         } else {
             let mut deliver_at = self.wire_free[src] + self.model.latency_ns;
@@ -264,7 +264,13 @@ impl Fabric {
             // Causal wire span: injection + serialization + propagation.
             // The `fixed` part is pure propagation latency (what a latency
             // knob scales); the rest is bandwidth-dependent.
-            causal::mark("net.wire", MarkKind::Wire, inj_start, deliver_at, self.model.latency_ns);
+            recorder::mark(
+                "net.wire",
+                MarkKind::Wire,
+                inj_start,
+                deliver_at,
+                self.model.latency_ns,
+            );
             deliver_at
         };
 

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 /// Intern a string, leaking at most once per distinct name.
 ///
-/// Port resources need `&'static str` names (the [`simcore::probe`] and
+/// Port resources need `&'static str` names (the [`simcore::recorder`] and
 /// contention-report plumbing is `&'static`-keyed to stay allocation-free
 /// on the hot path), but port names are computed from topology layout at
 /// build time. Distinct names are bounded by the port count of the

@@ -4,9 +4,9 @@
 //! Every output port is a [`SimResource`] (service = switch forwarding +
 //! wire serialization of the packet on that link, ownership-transfer cost
 //! zero), so queueing, congestion, and head-of-line blocking fall out of
-//! the existing resource machinery: port waits land in the contention
-//! attributor via `simcore::probe` and on the causal graph via the
-//! resource's `Wait`/`Work` marks, with no extra instrumentation here.
+//! the existing resource machinery: each port access reaches the
+//! `simcore::recorder` slot, which feeds the contention attributor and
+//! the causal graph, with no extra instrumentation here.
 //!
 //! Counters mirror the InfiniBand PMA set (`ibmad`'s `perfquery`):
 //! `xmit_pkts`/`xmit_bytes` are PortXmitPkts/PortXmitData, `xmit_wait_ns`

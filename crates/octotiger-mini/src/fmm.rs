@@ -177,13 +177,16 @@ impl AppState {
 }
 
 /// Register the FMM actions over `states` (one [`AppState`] per locality,
-/// indexed by locality id). Returns the action handles.
+/// indexed by locality id). Returns the action handles and stores them in
+/// `actions_out`, where the action closures read them (the ids are
+/// identical on every locality, like HPX's globally-agreed action ids).
 pub fn register_actions(
     registry: &mut ActionRegistry,
     states: Rc<Vec<Rc<RefCell<AppState>>>>,
     actions_out: Rc<RefCell<Option<Actions>>>,
 ) -> Actions {
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let step_start = registry.register("octo.step_start", move |sim, loc, core, _p| {
         // NOTE: per-step counters were already reset when this locality
         // finished its previous step (see `finish_leaf`) — resetting here
@@ -196,6 +199,7 @@ pub fn register_actions(
         // One task per owned leaf: compute the multipole, then send M2M
         // to the parent and M2L to each neighbor.
         let mut t = sim.now();
+        let acts = acts_cell.borrow().expect("actions registered");
         for leaf in leaves {
             let state = state.clone();
             t = loc.spawn(
@@ -203,14 +207,9 @@ pub fn register_actions(
                 core,
                 Box::new(move |sim, loc, core| {
                     let mut t = sim.now() + leaf_cost;
-                    let (tree, part, ghost_bytes, acts) = {
+                    let (tree, part, ghost_bytes) = {
                         let s = state.borrow();
-                        (
-                            s.tree.clone(),
-                            s.part.clone(),
-                            s.compute.ghost_bytes,
-                            ACTIONS.with(|a| a.borrow().expect("actions registered")),
-                        )
+                        (s.tree.clone(), s.part.clone(), s.compute.ghost_bytes)
                     };
                     let mass = tree.leaf_mass(leaf);
                     let center = tree.node(leaf).center;
@@ -245,6 +244,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let m2m = registry.register("octo.m2m", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (node, mass, center) = decode_m2m(&p.args[0]);
@@ -285,10 +285,7 @@ pub fn register_actions(
                     if (mass - expected).abs() > 1e-6 * expected {
                         s.mass_ok = false;
                     }
-                    (
-                        ACTIONS.with(|a| a.borrow().expect("actions").l2l),
-                        tree.node(0).children.clone(),
-                    )
+                    (acts_cell.borrow().expect("actions").l2l, tree.node(0).children.clone())
                 };
                 for c in children {
                     let payload = encode_m2m(c, mass, center);
@@ -296,7 +293,7 @@ pub fn register_actions(
                 }
             } else {
                 let parent = tree.node(node).parent;
-                let m2m_id = ACTIONS.with(|a| a.borrow().expect("actions").m2m);
+                let m2m_id = acts_cell.borrow().expect("actions").m2m;
                 let payload = encode_m2m(parent, mass, center);
                 t = invoke(sim, loc, core, part.owner(parent), m2m_id, vec![payload]).max(t);
             }
@@ -305,6 +302,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let m2l = registry.register("octo.m2l", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (leaf, _mass, _center) = decode_m2m(&p.args[0]);
@@ -321,12 +319,13 @@ pub fn register_actions(
             *e == 0 && s.step.got_l2l[&leaf] && s.step.pending_ghosts[&leaf] == 0
         };
         if ready {
-            t = finish_leaf(sim, loc, core, &state, leaf, t);
+            t = finish_leaf(sim, loc, core, &state, &acts_cell, t);
         }
         t
     });
 
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let ghost = registry.register("octo.ghost", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let leaf = u64::from_le_bytes(p.args[0][..8].try_into().expect("leaf id")) as usize;
@@ -343,12 +342,13 @@ pub fn register_actions(
             *e == 0 && s.step.pending_neighbors[&leaf] == 0 && s.step.got_l2l[&leaf]
         };
         if ready {
-            t = finish_leaf(sim, loc, core, &state, leaf, t);
+            t = finish_leaf(sim, loc, core, &state, &acts_cell, t);
         }
         t
     });
 
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let l2l = registry.register("octo.l2l", move |sim, loc, core, p| {
         let state = st[loc.id].clone();
         let (node, mass, center) = decode_m2m(&p.args[0]);
@@ -361,7 +361,7 @@ pub fn register_actions(
                 s.step.pending_neighbors[&node] == 0 && s.step.pending_ghosts[&node] == 0
             };
             if ready {
-                t = finish_leaf(sim, loc, core, &state, node, t);
+                t = finish_leaf(sim, loc, core, &state, &acts_cell, t);
             }
         } else {
             // Forward down the tree.
@@ -370,7 +370,7 @@ pub fn register_actions(
                 (
                     s.part.clone(),
                     tree.node(node).children.clone(),
-                    ACTIONS.with(|a| a.borrow().expect("actions").l2l),
+                    acts_cell.borrow().expect("actions").l2l,
                 )
             };
             t += state.borrow().compute.m2m;
@@ -383,6 +383,7 @@ pub fn register_actions(
     });
 
     let st = states.clone();
+    let acts_cell = actions_out.clone();
     let loc_done = registry.register("octo.loc_done", move |sim, loc, core, p| {
         assert_eq!(loc.id, 0, "completion reduction targets locality 0");
         let state = st[0].clone();
@@ -411,7 +412,7 @@ pub fn register_actions(
                 // Kick the next step everywhere.
                 let (locs, step_start) = {
                     let s = state.borrow();
-                    (s.part.localities(), ACTIONS.with(|a| a.borrow().expect("actions").step_start))
+                    (s.part.localities(), acts_cell.borrow().expect("actions").step_start)
                 };
                 for dest in 0..locs {
                     t = invoke(sim, loc, core, dest, step_start, vec![Bytes::new()]).max(t);
@@ -427,14 +428,7 @@ pub fn register_actions(
 
     let actions = Actions { step_start, m2m, m2l, ghost, l2l, loc_done };
     *actions_out.borrow_mut() = Some(actions);
-    ACTIONS.with(|a| *a.borrow_mut() = Some(actions));
     actions
-}
-
-thread_local! {
-    /// Action-id registry shared by the closures above (identical on
-    /// every locality, like HPX's globally-agreed action ids).
-    static ACTIONS: RefCell<Option<Actions>> = const { RefCell::new(None) };
 }
 
 /// Final leaf update and completion accounting.
@@ -443,7 +437,7 @@ fn finish_leaf(
     loc: &Rc<Locality>,
     core: usize,
     state: &Rc<RefCell<AppState>>,
-    _leaf: NodeId,
+    actions: &RefCell<Option<Actions>>,
     mut t: SimTime,
 ) -> SimTime {
     let all_done = {
@@ -465,7 +459,7 @@ fn finish_leaf(
             // counters instead of racing the step_start broadcast.
             s.step = s.fresh_step_state();
             let sum: f64 = s.my_leaves.iter().map(|&l| s.tree.leaf_mass(l)).sum();
-            (sum, ACTIONS.with(|a| a.borrow().expect("actions").loc_done))
+            (sum, actions.borrow().expect("actions").loc_done)
         };
         let mut w = Writer::with_capacity(8);
         w.put_f64(checksum);

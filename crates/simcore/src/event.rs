@@ -81,7 +81,7 @@ struct Slot {
     pos: u32,
     /// Node id of the event executing when this one was scheduled (0 =
     /// scheduled outside dispatch). Carried for causal capture
-    /// ([`crate::causal`]); dead weight of one word when disabled.
+    /// ([`crate::recorder`]); dead weight of one word when disabled.
     parent: u64,
     kind: EventKind,
 }

@@ -29,29 +29,25 @@
 //! All protocol logic, codecs and application code built on top of this
 //! engine are real, synchronously-executed Rust — only **time** is virtual.
 
-pub mod causal;
 pub mod cost;
 pub mod event;
 pub mod json;
 pub mod lock;
-pub mod probe;
+pub mod recorder;
 pub mod resource;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use causal::CausalLog;
 pub use cost::CostModel;
 pub use event::{ClosureFn, EventHandler, EventId, HandlerId, OnceFn};
 pub use json::escape_json;
 pub use lock::{SimLock, SimTryLock, TryAcquire};
-pub use probe::Probe;
+pub use recorder::{MarkKind, Recorder};
 pub use resource::SimResource;
 pub use sim::Sim;
 pub use stats::{Stats, Summary};
 pub use time::SimTime;
-pub use trace::{Span, Tracer};
 
 /// A simulated CPU core's private clock.
 ///

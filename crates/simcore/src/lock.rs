@@ -3,8 +3,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::causal::{self, MarkKind};
-use crate::probe;
+use crate::recorder;
 use crate::time::SimTime;
 
 /// Result of [`SimTryLock::try_acquire`].
@@ -122,9 +121,7 @@ impl SimLock {
         self.acquisitions += 1;
         self.total_wait_ns += start - now;
         self.core_last_end.insert(core, end);
-        probe::emit(|p| p.lock_wait(self.name, core, now, start - now, hold_ns, contended));
-        causal::mark(self.name, MarkKind::Wait, now, start, 0);
-        causal::mark(self.name, MarkKind::Hold, start, end, 0);
+        recorder::with(|r| r.lock_wait(self.name, core, now, start - now, hold_ns, contended));
         Grant { start, end, queued_behind: queued }
     }
 
@@ -184,12 +181,11 @@ impl SimTryLock {
             let until = now + hold_ns;
             self.next_free = until;
             self.acquisitions += 1;
-            probe::emit(|p| p.try_lock(self.name, now, true, hold_ns));
-            causal::mark(self.name, MarkKind::Hold, now, until, 0);
+            recorder::with(|r| r.try_lock(self.name, now, true, hold_ns));
             TryAcquire::Acquired { until }
         } else {
             self.failures += 1;
-            probe::emit(|p| p.try_lock(self.name, now, false, 0));
+            recorder::with(|r| r.try_lock(self.name, now, false, 0));
             TryAcquire::Busy { free_at: self.next_free }
         }
     }

@@ -1,7 +1,6 @@
 //! Contended shared resources modeled as serialized service centers.
 
-use crate::causal::{self, MarkKind};
-use crate::probe;
+use crate::recorder;
 use crate::time::SimTime;
 
 /// A shared mutable software object — a cache line holding an atomic
@@ -74,9 +73,9 @@ impl SimResource {
         self.busy_ns += service;
         self.accesses += 1;
         self.next_free = end;
-        probe::emit(|p| p.resource_access(self.name, core, now, start - now, service, transferred));
-        causal::mark(self.name, MarkKind::Wait, now, start, 0);
-        causal::mark(self.name, MarkKind::Work, start, end, 0);
+        recorder::with(|r| {
+            r.resource_access(self.name, core, now, start - now, service, transferred)
+        });
         end
     }
 

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::event::{EventHandler, EventId, EventKind, EventQueue, HandlerId, HandlerTable, OnceFn};
+use crate::recorder;
 use crate::stats::Stats;
 use crate::time::SimTime;
 
@@ -175,37 +176,30 @@ impl Sim {
     }
 
     /// Begin dispatching an event scheduled by `parent` at time `at`:
-    /// advance the clock, mint the node id, record the provenance edge if
-    /// a causal collector is installed. Returns whether one is (so the
-    /// caller can close the node after dispatch).
+    /// advance the clock, mint the node id, and report the provenance
+    /// edge to the recorder, if one is installed.
     #[inline]
-    fn begin_event(&mut self, at: SimTime, parent: u64) -> bool {
+    fn begin_event(&mut self, at: SimTime, parent: u64) {
         debug_assert!(at >= self.now, "time must not go backwards");
         self.now = at;
         self.executed += 1;
         self.current = self.executed;
-        let instrumented = crate::causal::installed();
-        if instrumented {
-            crate::causal::on_execute(self.current, at.as_nanos(), parent);
-        }
-        instrumented
+        recorder::with(|r| r.on_execute(self.current, at.as_nanos(), parent));
     }
 
     #[inline]
-    fn end_event(&mut self, instrumented: bool) {
+    fn end_event(&mut self) {
         self.current = 0;
-        if instrumented {
-            crate::causal::end_execute();
-        }
+        recorder::with(|r| r.end_execute());
     }
 
     /// Run a single event; returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some((at, parent, kind)) => {
-                let instrumented = self.begin_event(at, parent);
+                self.begin_event(at, parent);
                 self.dispatch(kind);
-                self.end_event(instrumented);
+                self.end_event();
                 true
             }
             None => false,
@@ -224,9 +218,9 @@ impl Sim {
         // One root comparison per event: the pop is conditional on the
         // deadline rather than a peek followed by a separate pop.
         while let Some((at, parent, kind)) = self.queue.pop_if(deadline) {
-            let instrumented = self.begin_event(at, parent);
+            self.begin_event(at, parent);
             self.dispatch(kind);
-            self.end_event(instrumented);
+            self.end_event();
             n += 1;
         }
         if self.now < deadline {

@@ -4,11 +4,24 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use simcore::{escape_json, Span};
+use simcore::{escape_json, SimTime};
 
 use crate::critpath::CritPath;
 use crate::flow::{stage, FlowRec};
 use crate::metrics::Metrics;
+
+/// One recorded span of virtual time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Span {
+    /// Track (e.g. `loc0/core3`).
+    pub track: String,
+    /// What ran (e.g. `task`, `progress`, `background`).
+    pub label: &'static str,
+    /// Span start (virtual).
+    pub start: SimTime,
+    /// Span end (virtual); equal to `start` for instant markers.
+    pub end: SimTime,
+}
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
@@ -17,7 +30,7 @@ fn us(ns: u64) -> f64 {
 /// Render a combined Chrome-trace JSON document.
 ///
 /// * `spans` — core activity (one `tid` per `locN/coreM` track), as
-///   recorded by `simcore::Tracer`.
+///   recorded by [`crate::Telemetry::span`].
 /// * flows — every delivered parcel contributes a send slice on its source
 ///   core track, a deliver slice on its destination core track, and a
 ///   flow-event pair (`ph:"s"` / `ph:"f"`) so Perfetto draws an arrow from
@@ -158,16 +171,24 @@ fn render(spans: &[Span], flows: &[FlowRec], metrics: &Metrics, cp: Option<&Crit
 mod tests {
     use super::*;
     use crate::flow::FlowTracer;
-    use simcore::SimTime;
 
     #[test]
     fn full_export_parses_and_contains_flow_pair() {
-        let spans = vec![Span {
-            track: "loc0/core0".into(),
-            label: "task",
-            start: SimTime::from_nanos(0),
-            end: SimTime::from_nanos(5_000),
-        }];
+        let spans = vec![
+            Span {
+                track: "loc0/core0".into(),
+                label: "task",
+                start: SimTime::from_micros(3),
+                end: SimTime::from_micros(5),
+            },
+            // An instant marker (e.g. an SLO alert) renders as zero length.
+            Span {
+                track: "slo/lat".into(),
+                label: "alert",
+                start: SimTime::from_nanos(42),
+                end: SimTime::from_nanos(42),
+            },
+        ];
         let mut f = FlowTracer::new();
         let id = f.begin(0, 1, 0, SimTime::from_nanos(100));
         f.mark(id, stage::INJECT, SimTime::from_nanos(400));
@@ -184,6 +205,11 @@ mod tests {
         assert!(phases.contains(&"s") && phases.contains(&"f") && phases.contains(&"C"));
         let finish = events.iter().find(|e| e.get("ph").unwrap().as_str() == Some("f")).unwrap();
         assert_eq!(finish.get("tid").unwrap().as_str(), Some("loc1/core2"));
+        // Spans come first, timestamps in microseconds.
+        assert!(json.starts_with(
+            "[{\"name\":\"task\",\"ph\":\"X\",\"ts\":3,\"dur\":2,\"pid\":0,\"tid\":\"loc0/core0\"},\
+             {\"name\":\"alert\",\"ph\":\"X\",\"ts\":0.042,\"dur\":0,\"pid\":0,\"tid\":\"slo/lat\"}"
+        ), "{json}");
     }
 
     #[test]

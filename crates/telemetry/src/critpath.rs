@@ -1,6 +1,6 @@
 //! Critical-path extraction from the causal provenance log.
 //!
-//! The causal log (see [`simcore::causal`]) gives every executed event a
+//! The causal log (see [`crate::causal`]) gives every executed event a
 //! parent — the event that scheduled it — so the *makespan critical path*
 //! is simply the parent chain of the last executed event: by induction,
 //! each event on the chain could not have fired earlier without its parent
@@ -19,8 +19,9 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use simcore::causal::{CausalLog, MarkKind, MarkRec};
-use simcore::escape_json;
+use simcore::{escape_json, MarkKind};
+
+use crate::causal::{CausalLog, MarkRec};
 
 use crate::flow::{stage, FlowRec, UNSET};
 
@@ -136,78 +137,77 @@ impl CritPath {
     /// Extract the makespan critical path from `log`. An empty log yields
     /// a `CritPath` with `total_ns == 0`.
     pub fn from_log(config: &str, log: &CausalLog) -> CritPath {
-        log.with_data(|base, nodes, marks| {
-            let mut cp = CritPath {
-                config: config.to_string(),
-                total_ns: 0,
-                segments: Vec::new(),
-                components: Vec::new(),
-                path_nodes: Vec::new(),
-                wire_fixed_ns: 0,
-                events_on_path: 0,
-                truncated: log.truncated(),
-            };
-            if nodes.is_empty() {
-                return cp;
-            }
-            let last_id = base + nodes.len() as u64 - 1;
-            cp.total_ns = nodes[nodes.len() - 1].at;
+        let (base, nodes, marks) = (log.base(), log.nodes(), log.marks());
+        let mut cp = CritPath {
+            config: config.to_string(),
+            total_ns: 0,
+            segments: Vec::new(),
+            components: Vec::new(),
+            path_nodes: Vec::new(),
+            wire_fixed_ns: 0,
+            events_on_path: 0,
+            truncated: log.truncated(),
+        };
+        if nodes.is_empty() {
+            return cp;
+        }
+        let last_id = base + nodes.len() as u64 - 1;
+        cp.total_ns = nodes[nodes.len() - 1].at;
 
-            // Parent-chain walk; parents below `base` (recording started
-            // mid-run) or non-decreasing ids (corruption guard) stop it.
-            let mut path = vec![last_id];
-            let mut cur = last_id;
-            loop {
-                let parent = nodes[(cur - base) as usize].parent;
-                if parent < base || parent >= cur {
-                    break;
-                }
-                path.push(parent);
-                cur = parent;
+        // Parent-chain walk; parents below `base` (recording started
+        // mid-run) or non-decreasing ids (corruption guard) stop it.
+        let mut path = vec![last_id];
+        let mut cur = last_id;
+        loop {
+            let parent = nodes[(cur - base) as usize].parent;
+            if parent < base || parent >= cur {
+                break;
             }
-            path.reverse();
-            cp.events_on_path = path.len();
+            path.push(parent);
+            cur = parent;
+        }
+        path.reverse();
+        cp.events_on_path = path.len();
 
-            let on_path: HashSet<u64> = path.iter().copied().collect();
-            let mut by_owner: HashMap<u64, Vec<&MarkRec>> = HashMap::new();
-            for m in marks {
-                if on_path.contains(&m.owner) {
-                    by_owner.entry(m.owner).or_default().push(m);
-                }
+        let on_path: HashSet<u64> = path.iter().copied().collect();
+        let mut by_owner: HashMap<u64, Vec<&MarkRec>> = HashMap::new();
+        for m in marks {
+            if on_path.contains(&m.owner) {
+                by_owner.entry(m.owner).or_default().push(m);
             }
+        }
 
-            let t_root = nodes[(path[0] - base) as usize].at;
-            push_segment(&mut cp.segments, "startup", 0, t_root);
-            for w in path.windows(2) {
-                let (p, c) = (w[0], w[1]);
-                let t_p = nodes[(p - base) as usize].at;
-                let t_c = nodes[(c - base) as usize].at;
-                let empty = Vec::new();
-                let owned = by_owner.get(&p).unwrap_or(&empty);
-                carve(&mut cp.segments, &mut cp.wire_fixed_ns, owned, t_p, t_c);
-            }
-            cp.path_nodes = path;
+        let t_root = nodes[(path[0] - base) as usize].at;
+        push_segment(&mut cp.segments, "startup", 0, t_root);
+        for w in path.windows(2) {
+            let (p, c) = (w[0], w[1]);
+            let t_p = nodes[(p - base) as usize].at;
+            let t_c = nodes[(c - base) as usize].at;
+            let empty = Vec::new();
+            let owned = by_owner.get(&p).unwrap_or(&empty);
+            carve(&mut cp.segments, &mut cp.wire_fixed_ns, owned, t_p, t_c);
+        }
+        cp.path_nodes = path;
 
-            debug_assert_eq!(
-                cp.segments.iter().map(PathSegment::len_ns).sum::<u64>(),
-                cp.total_ns,
-                "critical-path segments must partition the makespan",
-            );
+        debug_assert_eq!(
+            cp.segments.iter().map(PathSegment::len_ns).sum::<u64>(),
+            cp.total_ns,
+            "critical-path segments must partition the makespan",
+        );
 
-            let mut agg: HashMap<&str, u64> = HashMap::new();
-            for s in &cp.segments {
-                *agg.entry(s.component.as_str()).or_default() += s.len_ns();
-            }
-            let mut components: Vec<ComponentShare> = agg
-                .into_iter()
-                .map(|(c, ns)| ComponentShare { component: c.to_string(), on_path_ns: ns })
-                .collect();
-            components.sort_by(|a, b| {
-                b.on_path_ns.cmp(&a.on_path_ns).then_with(|| a.component.cmp(&b.component))
-            });
-            cp.components = components;
-            cp
-        })
+        let mut agg: HashMap<&str, u64> = HashMap::new();
+        for s in &cp.segments {
+            *agg.entry(s.component.as_str()).or_default() += s.len_ns();
+        }
+        let mut components: Vec<ComponentShare> = agg
+            .into_iter()
+            .map(|(c, ns)| ComponentShare { component: c.to_string(), on_path_ns: ns })
+            .collect();
+        components.sort_by(|a, b| {
+            b.on_path_ns.cmp(&a.on_path_ns).then_with(|| a.component.cmp(&b.component))
+        });
+        cp.components = components;
+        cp
     }
 
     /// On-path time of `component`, ns (0 when absent).
@@ -326,7 +326,6 @@ pub fn parcel_paths(flows: &[FlowRec]) -> Vec<ParcelPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::causal;
     use simcore::SimTime;
 
     fn ns(v: u64) -> SimTime {
@@ -339,17 +338,15 @@ mod tests {
     ///   [180,260] in the gap
     ///   node 3 @1000, parent 2; node 2 owns a wire mark [400,900] fixed 450
     ///   node 4 @1200, parent 1 (off-path side branch)
-    fn synthetic_log() -> std::rc::Rc<CausalLog> {
-        let log = CausalLog::new();
-        causal::install(log.clone());
-        causal::on_execute(1, 100, 0);
-        causal::mark("ucp", MarkKind::Wait, ns(120), ns(180), 0);
-        causal::mark("ucp", MarkKind::Hold, ns(180), ns(260), 0);
-        causal::on_execute(2, 300, 1);
-        causal::mark("net.wire", MarkKind::Wire, ns(400), ns(900), 450);
-        causal::on_execute(3, 1000, 2);
-        causal::end_execute();
-        causal::uninstall();
+    fn synthetic_log() -> CausalLog {
+        let mut log = CausalLog::default();
+        log.on_execute(1, 100, 0);
+        log.mark("ucp", MarkKind::Wait, 120, 180, 0);
+        log.mark("ucp", MarkKind::Hold, 180, 260, 0);
+        log.on_execute(2, 300, 1);
+        log.mark("net.wire", MarkKind::Wire, 400, 900, 450);
+        log.on_execute(3, 1000, 2);
+        log.end_execute();
         log
     }
 
@@ -381,16 +378,14 @@ mod tests {
 
     #[test]
     fn overlapping_marks_first_wins() {
-        let log = CausalLog::new();
-        causal::install(log.clone());
-        causal::on_execute(1, 0, 0);
+        let mut log = CausalLog::default();
+        log.on_execute(1, 0, 0);
         // Wait emitted first at the same start, then a wider work mark:
         // the wait keeps its prefix, the work claims only the rest.
-        causal::mark("q", MarkKind::Wait, ns(0), ns(40), 0);
-        causal::mark("serialize", MarkKind::Work, ns(0), ns(100), 0);
-        causal::on_execute(2, 100, 1);
-        causal::end_execute();
-        causal::uninstall();
+        log.mark("q", MarkKind::Wait, 0, 40, 0);
+        log.mark("serialize", MarkKind::Work, 0, 100, 0);
+        log.on_execute(2, 100, 1);
+        log.end_execute();
         let cp = CritPath::from_log("t", &log);
         assert_eq!(cp.component_ns("q.wait"), 40);
         assert_eq!(cp.component_ns("serialize"), 60);
@@ -399,14 +394,12 @@ mod tests {
 
     #[test]
     fn marks_are_clipped_to_the_edge_interval() {
-        let log = CausalLog::new();
-        causal::install(log.clone());
-        causal::on_execute(1, 0, 0);
+        let mut log = CausalLog::default();
+        log.on_execute(1, 0, 0);
         // Hold extends past the child's start: only the on-path part counts.
-        causal::mark("lock", MarkKind::Hold, ns(10), ns(500), 0);
-        causal::on_execute(2, 50, 1);
-        causal::end_execute();
-        causal::uninstall();
+        log.mark("lock", MarkKind::Hold, 10, 500, 0);
+        log.on_execute(2, 50, 1);
+        log.end_execute();
         let cp = CritPath::from_log("t", &log);
         assert_eq!(cp.component_ns("lock"), 40);
         assert_eq!(cp.component_ns("cpu"), 10);
@@ -414,7 +407,7 @@ mod tests {
 
     #[test]
     fn empty_log_is_zero_total() {
-        let cp = CritPath::from_log("t", &CausalLog::new());
+        let cp = CritPath::from_log("t", &CausalLog::default());
         assert_eq!(cp.total_ns, 0);
         assert!(cp.segments.is_empty());
     }

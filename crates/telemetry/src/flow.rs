@@ -58,9 +58,10 @@ pub struct FlowRec {
     pub dst_core: usize,
     /// Per-stage timestamps in ns ([`UNSET`] where not reached).
     pub stages: [u64; stage::COUNT],
-    /// Causal node id of the event that delivered this parcel (0 when no
-    /// causal collector was installed) — links the flow to the provenance
-    /// graph so the critical path can highlight on-path parcels.
+    /// Causal node id of the event that delivered this parcel (0 when
+    /// delivered outside event dispatch) — links the flow to the
+    /// provenance graph so the critical path can highlight on-path
+    /// parcels. Stamped by the collector ([`crate::Telemetry`]).
     pub deliver_node: u64,
 }
 
@@ -120,23 +121,20 @@ impl FlowTracer {
         if id == 0 {
             return false;
         }
-        let rec = &mut self.flows[id as usize - 1];
-        let slot = &mut rec.stages[stage];
+        let slot = &mut self.flows[id as usize - 1].stages[stage];
         if *slot == UNSET {
             *slot = t.as_nanos();
-            if stage == self::stage::DELIVER {
-                rec.deliver_node = simcore::causal::current_node();
-            }
             true
         } else {
             false
         }
     }
 
-    /// [`FlowTracer::mark`] over a batch of ids; returns how many stages
-    /// were newly set.
-    pub fn mark_many(&mut self, ids: &[u64], stage: usize, t: SimTime) -> usize {
-        ids.iter().filter(|&&id| self.mark(id, stage, t)).count()
+    /// Record the causal node that delivered flow `id` (id 0 is ignored).
+    pub fn set_deliver_node(&mut self, id: u64, node: u64) {
+        if id != 0 {
+            self.flows[id as usize - 1].deliver_node = node;
+        }
     }
 
     /// Record the core that handled delivery for `ids`.
@@ -211,7 +209,7 @@ mod tests {
     fn id_zero_is_ignored() {
         let mut f = FlowTracer::new();
         f.mark(0, stage::PUT, SimTime::ZERO);
-        f.mark_many(&[0, 0], stage::WIRE, SimTime::ZERO);
+        f.set_deliver_node(0, 7);
         f.set_dst_core(&[0], 9);
         assert!(f.is_empty());
     }

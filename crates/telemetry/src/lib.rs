@@ -13,7 +13,7 @@
 //!   ([`report::Breakdown`]);
 //! * **contention attribution** ([`ContentionTable`]): wait-vs-service
 //!   time per named `SimLock`/`SimTryLock`/`SimResource`, fed through
-//!   `simcore::probe`, ranked by total wait
+//!   the `simcore::recorder` slot, ranked by total wait
 //!   ([`report::ContentionReport`]);
 //! * a **virtual-time core profiler** ([`CoreProfile`]): per-core
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
@@ -23,14 +23,20 @@
 //!
 //! ## Enable/disable
 //!
-//! The collector is a thread-local `Option<Rc<Telemetry>>`. Call sites go
-//! through the free functions in this module, which no-op when disabled:
-//! the disabled cost is one thread-local borrow and a `None` check, with
+//! [`Telemetry`] is the [`simcore::Recorder`]: [`enable`] installs a fresh
+//! collector in simcore's one per-thread recorder slot and [`disable`]
+//! empties it. The engine, the contention primitives and every layer
+//! above report into that slot as things happen — provenance edges, lock
+//! and resource accesses, time marks, parcel flows and per-core spans —
+//! so a collector holds exactly what ran while it was installed. Call
+//! sites go through the free functions in this module, which no-op when
+//! disabled: the disabled cost is one `Cell<bool>` read per hook, with
 //! zero allocation. Telemetry is *pure observation* — it never schedules
 //! events, charges virtual time, or alters wire traffic — so enabling it
 //! does not change simulation results, and disabling it reproduces
 //! byte-identical event streams (see `tests/golden_trace.rs`).
 
+pub mod causal;
 pub mod chrome;
 pub mod critpath;
 pub mod diff;
@@ -43,10 +49,15 @@ pub mod record;
 pub mod report;
 pub mod timeline;
 
+use std::any::Any;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use simcore::{CausalLog, SimTime, Span};
+use simcore::{MarkKind, Recorder, SimTime};
+
+use causal::CausalLog;
+use chrome::Span;
 
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
@@ -74,9 +85,8 @@ struct Inner {
     /// Parcels begun but not yet delivered, sampled as the
     /// `parcels.in_flight` counter track.
     in_flight: i64,
-    /// The causal provenance log ([`simcore::causal`]), installed by
-    /// [`enable`] alongside the contention probe.
-    causal: Option<Rc<CausalLog>>,
+    /// The causal provenance log ([`causal`]).
+    causal: CausalLog,
     /// The windowed time-series layer ([`timeline`]), present only when
     /// timelines were requested ([`enable_with`] /
     /// [`Telemetry::enable_timeline`]).
@@ -84,6 +94,18 @@ struct Inner {
 }
 
 impl Inner {
+    /// Mark `stage` on flow `id`; returns whether it was newly set. A
+    /// first DELIVER also stamps the delivering causal node and feeds the
+    /// windowed latency series.
+    fn flow_mark(&mut self, id: u64, stage: usize, t: SimTime) -> bool {
+        let newly = self.flows.mark(id, stage, t);
+        if newly && stage == stage::DELIVER {
+            self.flows.set_deliver_node(id, self.causal.current());
+            self.flow_delivered(id, t);
+        }
+        newly
+    }
+
     /// Feed one newly delivered flow into the windowed `parcel.latency_ns`
     /// series (plus its run-total twin) and the flight-recorder ring.
     /// No-op when timelines are off, so plain instrumented runs keep
@@ -108,32 +130,26 @@ impl Inner {
         let Some(tl) = &mut self.timeline else { return };
         if tl.dump_due() {
             let cap = tl.dump_marks_cap();
-            let marks = self.causal.as_ref().map(|log| causal_tail(log, cap)).unwrap_or_default();
-            tl.take_dump(marks);
+            tl.take_dump(causal_tail(&self.causal, cap));
         }
     }
 }
 
 /// The last `cap` causal marks, as flight-recorder dump rows.
 fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
-    use simcore::causal::MarkKind;
-    log.with_data(|_, _, marks| {
-        marks
-            .iter()
-            .rev()
-            .take(cap)
-            .rev()
-            .map(|m| {
-                let kind = match m.kind {
-                    MarkKind::Wait => "wait",
-                    MarkKind::Hold => "hold",
-                    MarkKind::Work => "work",
-                    MarkKind::Wire => "wire",
-                };
-                (m.label, kind, m.start, m.end)
-            })
-            .collect()
-    })
+    let marks = log.marks();
+    marks[marks.len().saturating_sub(cap)..]
+        .iter()
+        .map(|m| {
+            let kind = match m.kind {
+                MarkKind::Wait => "wait",
+                MarkKind::Hold => "hold",
+                MarkKind::Work => "work",
+                MarkKind::Wire => "wire",
+            };
+            (m.label, kind, m.start, m.end)
+        })
+        .collect()
 }
 
 impl Telemetry {
@@ -220,50 +236,24 @@ impl Telemetry {
 
     /// Mark `stage` on one flow.
     pub fn flow_mark(&self, id: u64, stage: usize, t: SimTime) {
-        let inner = &mut *self.inner.borrow_mut();
-        if inner.flows.mark(id, stage, t) && stage == stage::DELIVER {
-            inner.in_flight -= 1;
-            let v = inner.in_flight as f64;
-            inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-            inner.flow_delivered(id, t);
-        }
-        if let Some(tl) = &mut inner.timeline {
-            tl.observe(t.as_nanos());
-            inner.tl_poll();
-        }
+        self.flow_mark_many(&[id], stage, t);
     }
 
     /// Mark `stage` on a batch of flows.
     pub fn flow_mark_many(&self, ids: &[u64], stage: usize, t: SimTime) {
-        if !ids.is_empty() {
-            let inner = &mut *self.inner.borrow_mut();
-            if stage == stage::DELIVER && inner.timeline.is_some() {
-                // Per-id marking so each newly delivered parcel lands on
-                // the flight recorder and in the windowed latency series.
-                let mut newly = 0i64;
-                for &id in ids {
-                    if inner.flows.mark(id, stage, t) {
-                        newly += 1;
-                        inner.flow_delivered(id, t);
-                    }
-                }
-                if newly > 0 {
-                    inner.in_flight -= newly;
-                    let v = inner.in_flight as f64;
-                    inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-                }
-            } else {
-                let newly = inner.flows.mark_many(ids, stage, t);
-                if newly > 0 && stage == stage::DELIVER {
-                    inner.in_flight -= newly as i64;
-                    let v = inner.in_flight as f64;
-                    inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
-                }
-            }
-            if let Some(tl) = &mut inner.timeline {
-                tl.observe(t.as_nanos());
-                inner.tl_poll();
-            }
+        if ids.is_empty() {
+            return;
+        }
+        let inner = &mut *self.inner.borrow_mut();
+        let newly = ids.iter().filter(|&&id| inner.flow_mark(id, stage, t)).count();
+        if newly > 0 && stage == stage::DELIVER {
+            inner.in_flight -= newly as i64;
+            let v = inner.in_flight as f64;
+            inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
+        }
+        if let Some(tl) = &mut inner.timeline {
+            tl.observe(t.as_nanos());
+            inner.tl_poll();
         }
     }
 
@@ -375,40 +365,46 @@ impl Telemetry {
         self.inner.borrow().profile.folded(config)
     }
 
-    /// Deposit engine spans (drained from per-locality `simcore::Tracer`s
-    /// — `parcelport::World` does this automatically on drop).
-    pub fn add_spans(&self, spans: impl IntoIterator<Item = Span>) {
-        self.inner.borrow_mut().spans.extend(spans);
+    /// Record a span of virtual time on `track` (e.g. one task on
+    /// `loc0/core3`).
+    pub fn span(&self, track: String, label: &'static str, start: SimTime, end: SimTime) {
+        debug_assert!(end >= start, "span must not be negative");
+        self.inner.borrow_mut().spans.push(Span { track, label, start, end });
     }
 
-    /// Number of deposited spans.
+    /// Number of recorded spans.
     pub fn span_count(&self) -> usize {
         self.inner.borrow().spans.len()
     }
 
-    /// Render the combined Chrome-trace JSON (spans + flows + counters).
-    pub fn chrome_trace(&self, spans: &[Span]) -> String {
-        let inner = self.inner.borrow();
-        chrome::chrome_trace(spans, inner.flows.flows(), &inner.metrics)
+    /// Total virtual time covered by the recorded spans, per label,
+    /// descending.
+    pub fn span_totals(&self) -> Vec<(&'static str, u64)> {
+        let mut map: HashMap<&'static str, u64> = HashMap::new();
+        for s in &self.inner.borrow().spans {
+            *map.entry(s.label).or_default() += s.end.since(s.start);
+        }
+        let mut v: Vec<_> = map.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        v
     }
 
-    /// [`Telemetry::chrome_trace`] over the deposited spans.
+    /// The combined Chrome-trace JSON: recorded spans, parcel flows and
+    /// counter tracks.
     pub fn chrome_trace_collected(&self) -> String {
         let inner = self.inner.borrow();
         chrome::chrome_trace(&inner.spans, inner.flows.flows(), &inner.metrics)
     }
 
-    /// The causal provenance log captured by this collector, if any
-    /// (present on collectors made by [`enable`]).
-    pub fn causal_log(&self) -> Option<Rc<CausalLog>> {
-        self.inner.borrow().causal.clone()
+    /// Read access to the causal provenance log.
+    pub fn with_causal<R>(&self, f: impl FnOnce(&CausalLog) -> R) -> R {
+        f(&self.inner.borrow().causal)
     }
 
-    /// Extract the makespan critical path from the captured causal log.
-    /// `None` when no causal log is attached or nothing was recorded.
+    /// Extract the makespan critical path from the causal log. `None`
+    /// when nothing was recorded.
     pub fn critpath(&self, config: &str) -> Option<CritPath> {
-        let log = self.causal_log()?;
-        let cp = CritPath::from_log(config, &log);
+        let cp = self.with_causal(|log| CritPath::from_log(config, log));
         (cp.total_ns > 0).then_some(cp)
     }
 
@@ -544,10 +540,10 @@ impl Telemetry {
     }
 }
 
-/// Adapter feeding `simcore::probe` events into the contention table.
-struct ProbeAdapter(Rc<Telemetry>);
-
-impl simcore::Probe for ProbeAdapter {
+/// The collector is the one thing installed in simcore's recorder slot:
+/// contention events feed the contention table, the profiler and the
+/// timeline, and land as causal marks on the executing event.
+impl Recorder for Telemetry {
     fn lock_wait(
         &self,
         name: &'static str,
@@ -557,37 +553,36 @@ impl simcore::Probe for ProbeAdapter {
         hold_ns: u64,
         contended: bool,
     ) {
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
+        let (now, start) = (now.as_nanos(), now.as_nanos() + wait_ns);
         inner.contention.record(name, ResourceKind::Lock, wait_ns, hold_ns, contended);
         // The wait interval `[now, now+wait)` is spin time on `core`; the
         // profiler carves it out of whatever base interval encloses it.
         if wait_ns > 0 {
-            inner.profile.record_overlay_here(
-                core,
-                CoreState::LockWait,
-                name,
-                now.as_nanos(),
-                now.as_nanos() + wait_ns,
-            );
+            inner.profile.record_overlay_here(core, CoreState::LockWait, name, now, start);
         }
         if let Some(tl) = &mut inner.timeline {
             if contended {
-                tl.probe_event(name, "lock", now.as_nanos(), wait_ns, hold_ns);
+                tl.probe_event(name, "lock", now, wait_ns, hold_ns);
             } else {
-                tl.observe(now.as_nanos());
+                tl.observe(now);
             }
             inner.tl_poll();
         }
+        inner.causal.mark(name, MarkKind::Wait, now, start, 0);
+        inner.causal.mark(name, MarkKind::Hold, start, start + hold_ns, 0);
     }
 
     fn try_lock(&self, name: &'static str, now: SimTime, acquired: bool, hold_ns: u64) {
         // A failed try never waits — that is the point of the LCI design;
         // it only counts as a contended event.
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
+        let now = now.as_nanos();
         inner.contention.record(name, ResourceKind::TryLock, 0, hold_ns, !acquired);
         if let Some(tl) = &mut inner.timeline {
-            tl.observe(now.as_nanos());
+            tl.observe(now);
         }
+        inner.causal.mark(name, MarkKind::Hold, now, now + hold_ns, 0);
     }
 
     fn resource_access(
@@ -599,7 +594,8 @@ impl simcore::Probe for ProbeAdapter {
         service_ns: u64,
         transferred: bool,
     ) {
-        let inner = &mut *self.0.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
+        let (now, start) = (now.as_nanos(), now.as_nanos() + wait_ns);
         inner.contention.record(
             name,
             ResourceKind::Resource,
@@ -609,42 +605,43 @@ impl simcore::Probe for ProbeAdapter {
         );
         // Queueing on a serialized resource is lock-wait-like core time.
         if wait_ns > 0 {
-            inner.profile.record_overlay_here(
-                core,
-                CoreState::LockWait,
-                name,
-                now.as_nanos(),
-                now.as_nanos() + wait_ns,
-            );
+            inner.profile.record_overlay_here(core, CoreState::LockWait, name, now, start);
         }
         if let Some(tl) = &mut inner.timeline {
             if wait_ns > 0 {
-                tl.probe_event(name, "resource", now.as_nanos(), wait_ns, service_ns);
+                tl.probe_event(name, "resource", now, wait_ns, service_ns);
             } else {
-                tl.observe(now.as_nanos());
+                tl.observe(now);
             }
             inner.tl_poll();
         }
+        inner.causal.mark(name, MarkKind::Wait, now, start, 0);
+        inner.causal.mark(name, MarkKind::Work, start, start + service_ns, 0);
+    }
+
+    fn on_execute(&self, node: u64, at: u64, parent: u64) {
+        self.inner.borrow_mut().causal.on_execute(node, at, parent);
+    }
+
+    fn end_execute(&self) {
+        self.inner.borrow_mut().causal.end_execute();
+    }
+
+    fn mark(&self, label: &'static str, kind: MarkKind, start: SimTime, end: SimTime, fixed: u64) {
+        self.inner.borrow_mut().causal.mark(label, kind, start.as_nanos(), end.as_nanos(), fixed);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<Rc<Telemetry>>> = const { RefCell::new(None) };
-}
-
-/// Install a fresh collector on this thread (and hook `simcore::probe`
-/// plus the `simcore::causal` provenance log). Returns the handle; keep
-/// it to read reports after [`disable`].
+/// Install a fresh collector in this thread's recorder slot, replacing
+/// any collector still installed. Returns the handle; keep it to read
+/// reports after [`disable`].
 pub fn enable() -> Rc<Telemetry> {
-    // A stale collector from a run that never called `disable` must not
-    // leak state (probe adapter, causal cursor) into this run.
-    disable();
     let t = Rc::new(Telemetry::new());
-    let log = CausalLog::new();
-    t.inner.borrow_mut().causal = Some(log.clone());
-    ACTIVE.with(|c| *c.borrow_mut() = Some(t.clone()));
-    simcore::probe::install(Rc::new(ProbeAdapter(t.clone())));
-    simcore::causal::install(log);
+    simcore::recorder::install(t.clone());
     t
 }
 
@@ -658,32 +655,22 @@ pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
     t
 }
 
-/// Remove the active collector, the contention probe and the causal
-/// collector, resetting every piece of thread-local recording state so
-/// back-to-back instrumented runs in one process cannot contaminate each
-/// other. The returned handle from [`enable`] stays valid for reading
-/// reports.
+/// Empty the recorder slot: recording stops, and the handle returned by
+/// [`enable`] stays valid for reading reports.
 pub fn disable() {
-    ACTIVE.with(|c| *c.borrow_mut() = None);
-    simcore::probe::uninstall();
-    simcore::causal::uninstall();
+    simcore::recorder::uninstall();
 }
 
-/// Whether a collector is active on this thread.
+/// Whether a collector is installed on this thread.
 pub fn enabled() -> bool {
-    ACTIVE.with(|c| c.borrow().is_some())
-}
-
-/// The active collector, if any.
-pub fn active() -> Option<Rc<Telemetry>> {
-    ACTIVE.with(|c| c.borrow().clone())
+    simcore::recorder::installed()
 }
 
 /// Run `f` against the active collector; no-op when disabled.
 #[inline]
 pub fn with(f: impl FnOnce(&Telemetry)) {
-    ACTIVE.with(|c| {
-        if let Some(t) = c.borrow().as_deref() {
+    simcore::recorder::with(|r| {
+        if let Some(t) = r.as_any().downcast_ref::<Telemetry>() {
             f(t)
         }
     });
@@ -837,7 +824,11 @@ mod tests {
             flow_mark(1, stage::PUT, SimTime::ZERO);
             counter_add("x", 1);
             assert!(take_route(0, 1, 5).is_empty());
-            assert!(active().is_none());
+            with(|_| panic!("no collector installed"));
+            // Hooks from the engine and the primitives are inert too.
+            let mut lock = simcore::SimLock::new("l", 10, 1);
+            lock.acquire(0, SimTime::ZERO, 5);
+            simcore::recorder::mark("x", MarkKind::Work, SimTime::ZERO, SimTime::from_nanos(9), 0);
         });
     }
 
@@ -871,26 +862,32 @@ mod tests {
             register_route(0, 1, 99, &[id]);
             counter_add("parcels", 7);
             profile_set_loc(3);
-            simcore::causal::on_execute(1, 50, 0);
-            simcore::causal::mark(
+            simcore::recorder::with(|r| r.on_execute(1, 50, 0));
+            simcore::recorder::mark(
                 "lock",
-                simcore::causal::MarkKind::Hold,
+                MarkKind::Hold,
                 SimTime::ZERO,
                 SimTime::from_nanos(10),
                 0,
             );
             disable();
-            assert!(!simcore::causal::installed());
-            assert_eq!(simcore::causal::current_node(), 0);
+            assert!(!simcore::recorder::installed());
 
             // Second run starts from a blank slate.
             let second = enable();
             assert_eq!(second.flow_count(), 0);
             assert_eq!(second.with_metrics(|m| m.counter("parcels")), 0);
             assert!(second.take_route(0, 1, 99).is_empty(), "routes must not leak");
-            let log = second.causal_log().expect("fresh causal log");
-            assert_eq!(log.node_count(), 0);
-            assert_eq!(log.mark_count(), 0);
+            // The first run's dispatch cursor does not carry over: a mark
+            // before the second run's first event is dropped.
+            simcore::recorder::mark(
+                "lock",
+                MarkKind::Hold,
+                SimTime::ZERO,
+                SimTime::from_nanos(10),
+                0,
+            );
+            assert_eq!(second.with_causal(|log| (log.node_count(), log.marks().len())), (0, 0));
             let id2 = flow_begin(0, 1, 0, SimTime::ZERO);
             assert_eq!(id2, 1, "flow ids restart per collector");
             disable();
@@ -898,7 +895,7 @@ mod tests {
             // The first handle still holds only its own data.
             assert_eq!(first.flow_count(), 1);
             assert_eq!(first.with_metrics(|m| m.counter("parcels")), 7);
-            assert_eq!(first.causal_log().unwrap().node_count(), 1);
+            assert_eq!(first.with_causal(|log| (log.node_count(), log.marks().len())), (1, 1));
             assert_eq!(second.flow_count(), 1);
         });
     }
@@ -909,7 +906,7 @@ mod tests {
             let stale = enable();
             counter_add("x", 1);
             // A run that forgot to disable: the next enable must not let
-            // the stale adapter keep collecting.
+            // the stale collector keep collecting.
             let fresh = enable();
             counter_add("x", 1);
             disable();
@@ -938,6 +935,67 @@ mod tests {
             assert!(names.contains(&"lci.progress") && names.contains(&"nic.tx_post"));
             // The try-lock never accumulates wait.
             assert_eq!(tel.with_contention(|c| c.get("lci.progress").unwrap().total_wait_ns), 0);
+        });
+    }
+
+    /// The engine's provenance edges and the primitives' marks reach the
+    /// collector's causal log; marks outside dispatch and empty marks are
+    /// dropped; a second `Sim` under the same collector rebases the log.
+    #[test]
+    fn causal_log_follows_dispatch() {
+        with_clean_state(|| {
+            let tel = enable();
+            let mut sim = simcore::Sim::new(0);
+            sim.schedule_at(SimTime::from_nanos(100), |sim| {
+                let mut lock = simcore::SimLock::new("ucp", 500, 200);
+                lock.acquire(0, sim.now(), 50);
+                lock.acquire(1, sim.now(), 50); // waits: one wait + one hold mark
+                let t = sim.now();
+                simcore::recorder::mark("empty", MarkKind::Work, t, t, 0);
+                sim.schedule_in(10, |_| {});
+            });
+            sim.run();
+            simcore::recorder::mark("late", MarkKind::Work, sim.now(), sim.now() + 5, 0);
+            tel.with_causal(|log| {
+                assert_eq!((log.base(), log.node_count()), (1, 2));
+                assert_eq!(log.nodes()[1].parent, 1);
+                let labels: Vec<_> = log.marks().iter().map(|m| (m.label, m.kind)).collect();
+                assert_eq!(
+                    labels,
+                    [("ucp", MarkKind::Hold), ("ucp", MarkKind::Wait), ("ucp", MarkKind::Hold)]
+                );
+                assert!(log.marks().iter().all(|m| m.owner == 1));
+            });
+            let mut second = simcore::Sim::new(0);
+            second.schedule_at(SimTime::from_nanos(5), |_| {});
+            second.run();
+            disable();
+            tel.with_causal(|log| {
+                assert_eq!((log.base(), log.node_count(), log.marks().len()), (1, 1, 0));
+                assert_eq!(log.nodes()[0].at, 5);
+            });
+        });
+    }
+
+    /// Spans land in the collector as they are recorded.
+    #[test]
+    fn spans_record_as_they_happen() {
+        with_clean_state(|| {
+            let tel = enable();
+            let span = |track: &str, label, start, end| {
+                with(|t| {
+                    let (s, e) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+                    t.span(track.to_string(), label, s, e)
+                })
+            };
+            span("loc0/core0", "task", 0, 100);
+            span("loc0/core1", "bg", 50, 80);
+            span("loc0/core0", "task", 100, 150);
+            disable();
+            span("loc0/core0", "task", 150, 900);
+            assert_eq!(tel.span_count(), 3);
+            assert_eq!(tel.span_totals(), [("task", 150), ("bg", 30)]);
+            assert!(tel.chrome_trace_collected().contains("\"tid\":\"loc0/core1\""));
         });
     }
 }

@@ -175,7 +175,7 @@ impl ContentionStat {
     }
 }
 
-/// Per-resource contention attribution, fed by the `simcore::probe` hook.
+/// Per-resource contention attribution, fed through the `simcore::recorder` slot.
 #[derive(Debug, Default)]
 pub struct ContentionTable {
     rows: BTreeMap<&'static str, ContentionStat>,

@@ -199,7 +199,7 @@ impl RunRecord {
             components: cp.components.iter().map(|c| (c.component.clone(), c.on_path_ns)).collect(),
             segments: cp.segments.iter().map(|s| (s.component.clone(), s.start, s.end)).collect(),
         });
-        rec.events = tel.causal_log().map(|log| log.node_count() as u64).unwrap_or(0);
+        rec.events = tel.with_causal(|log| log.node_count() as u64);
 
         tel.with_metrics(|m| {
             for (k, v) in m.counters() {

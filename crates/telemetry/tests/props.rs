@@ -3,7 +3,7 @@
 //! built-in parser.
 
 use proptest::prelude::*;
-use simcore::{SimTime, Span};
+use simcore::SimTime;
 use telemetry::json::Value;
 use telemetry::{json, Histogram};
 
@@ -64,12 +64,7 @@ proptest! {
     ) {
         let track: String = chars.iter().map(|&i| NASTY[i]).collect();
         let tel = telemetry::Telemetry::new();
-        tel.add_spans([Span {
-            track: track.clone(),
-            label: "task",
-            start: SimTime::from_nanos(start),
-            end: SimTime::from_nanos(start + dur),
-        }]);
+        tel.span(track.clone(), "task", SimTime::from_nanos(start), SimTime::from_nanos(start + dur));
         let out = tel.chrome_trace_collected();
         let doc = json::parse(&out).expect("chrome export must parse");
         let events = doc.as_arr().expect("array");

@@ -111,7 +111,8 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
     // The observation itself: per-port counter tracks were sampled,
     // time-ordered per track (what `trace_check --require-counters`
     // later enforces on the bench artifacts), and reach the Chrome export.
-    drop(world); // harvest tracers
+    drop(world);
+    assert!(tel.span_count() > 0, "per-core spans missing from the collector");
     let (fab_tracks, ordered) = tel.with_metrics(|m| {
         let mut n = 0usize;
         let mut ordered = true;
@@ -129,4 +130,22 @@ fn telemetry_is_pure_observation_on_the_switched_path() {
         tel.chrome_trace_collected().contains("\"fab."),
         "port counters missing from the Chrome export"
     );
+}
+
+/// Spans belong to the collector installed while they are recorded: a
+/// world run under collector A and dropped while collector B is
+/// installed leaves every span with A and none with B.
+#[test]
+fn spans_stay_with_the_collector_they_ran_under() {
+    let a = hpx_lci_repro::telemetry::enable();
+    let (world, delivered) = run();
+    hpx_lci_repro::telemetry::disable();
+    assert_eq!(delivered, LOCALITIES * MSGS_PER_LOC, "lost parcels under telemetry");
+    let spans = a.span_count();
+    assert!(spans > 0, "collector A recorded no spans");
+    let b = hpx_lci_repro::telemetry::enable();
+    drop(world);
+    hpx_lci_repro::telemetry::disable();
+    assert_eq!(a.span_count(), spans, "collector A lost spans when the world dropped");
+    assert_eq!(b.span_count(), 0, "spans of a world run under A landed in B");
 }

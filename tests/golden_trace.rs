@@ -107,9 +107,8 @@ fn telemetry_enabled_is_pure_observation() {
         // above, so provenance capture is itself pure observation. The
         // log must be complete: one node per executed event, and the
         // critical path it yields must partition [0, end] exactly.
-        let log = tel.causal_log().expect("telemetry enabled records a causal log");
         assert_eq!(
-            log.node_count() as u64,
+            tel.with_causal(|log| log.node_count()) as u64,
             executed,
             "{name}: causal log must record every executed event"
         );

@@ -65,9 +65,9 @@ fn disabled_profiler_records_nothing() {
     p.steps = 10;
     let r = run_latency(&p);
     assert!(r.completed);
-    // No collector was installed, so there is nothing to inspect — the
-    // free-function hooks short-circuited on the thread-local None.
-    assert!(telemetry::active().is_none());
+    // No collector was installed, so there is nothing to inspect — every
+    // hook short-circuited on the empty recorder slot.
+    assert!(!telemetry::enabled());
 }
 
 /// The paper's §5 observation, asserted quantitatively: under a
