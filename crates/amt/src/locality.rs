@@ -8,6 +8,7 @@ use std::rc::{Rc, Weak};
 use simcore::recorder::{self, MarkKind};
 use simcore::{CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime};
 
+use telemetry::profile::POLL;
 use telemetry::CoreState;
 
 use crate::action::{ActionId, ActionRegistry};
@@ -182,13 +183,6 @@ impl Locality {
     /// The installed parcelport, if any.
     pub fn parcelport(&self) -> Option<Rc<RefCell<dyn Parcelport>>> {
         self.parcelport.borrow().clone()
-    }
-
-    /// Record a task, background-work or progress slice on `core` as a
-    /// span on track `loc<id>/core<k>` of the installed collector (the
-    /// `format!` only runs when one is installed).
-    fn trace(&self, core: usize, label: &'static str, start: SimTime, end: SimTime) {
-        telemetry::with(|tel| tel.span(format!("loc{}/core{}", self.id, core), label, start, end));
     }
 
     /// Sample the run-queue depth as a counter track (the `format!` only
@@ -370,7 +364,6 @@ impl Locality {
 
         if let Some(task) = task {
             let t_end = task(sim, &self, core).max(t0);
-            self.trace(core, "task", now, t_end);
             telemetry::profile_record(self.id, core, CoreState::Working, "task", now, t_end);
             {
                 let mut s = self.sched.borrow_mut();
@@ -387,13 +380,10 @@ impl Locality {
         // 2. Idle: offer background work to the parcelport.
         let bg = self.run_background(sim, core, t0);
         let t_end = bg.cpu_done.max(t0);
-        if bg.did_work {
-            self.trace(core, "background", now, t_end);
-        }
         // Charged polling burns the core even when nothing was found —
         // that is exactly the time the profiler must surface for the
         // every-worker-polls parcelports.
-        let bg_label = if bg.did_work { "background" } else { "poll" };
+        let bg_label = if bg.did_work { "background" } else { POLL };
         telemetry::profile_record(self.id, core, CoreState::Progress, bg_label, now, t_end);
         {
             let mut s = self.sched.borrow_mut();
@@ -439,10 +429,7 @@ impl Locality {
             }
         };
         let t_end = bg.cpu_done.max(now);
-        if bg.did_work {
-            self.trace(0, "progress", now, t_end);
-        }
-        let label = if bg.did_work { "progress" } else { "poll" };
+        let label = if bg.did_work { "progress" } else { POLL };
         telemetry::profile_record(self.id, 0, CoreState::Progress, label, now, t_end);
         self.sched.borrow_mut().cores[0].charge(now, t_end - now);
         if bg.wake_workers {

@@ -145,14 +145,14 @@ fn overlay_trace(base: &RunRecord, head: &RunRecord) -> String {
         events.push(format!(
             "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
              \"args\":{{\"name\":\"{}\"}}}}",
-            simcore::escape_json(&rec.label())
+            telemetry::json::escape_json(&rec.label())
         ));
         if let Some(cp) = &rec.critpath {
             for (component, start, end) in &cp.segments {
                 events.push(format!(
                     "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{pid},\"tid\":\"critpath\",\
                      \"ts\":{:.3},\"dur\":{:.3}}}",
-                    simcore::escape_json(component),
+                    telemetry::json::escape_json(component),
                     *start as f64 / 1_000.0,
                     (end - start) as f64 / 1_000.0
                 ));

@@ -1,7 +1,8 @@
 //! Trace a short two-node workload and write a Chrome-tracing JSON
 //! timeline (`open chrome://tracing` or https://ui.perfetto.dev and load
-//! the file) — per-core spans, parcel flow arrows and counter tracks:
-//! visibility into what the simulated runtime did.
+//! the file) — per-core slices (drawn from the core profiler), parcel
+//! flow arrows and counter tracks: visibility into what the simulated
+//! runtime did.
 //!
 //! Usage: `cargo run --release -p bench --bin trace_demo [config] [out.json]`
 

@@ -18,7 +18,7 @@ use telemetry::{RunMeta, RunRecord, Telemetry};
 
 /// Run `f` under a fresh telemetry collector and return its result plus
 /// the collector. Everything `f` runs records into the collector as it
-/// happens — per-core spans included — so it is complete once `f`
+/// happens — per-core slices included — so it is complete once `f`
 /// returns.
 pub fn instrumented<R>(f: impl FnOnce() -> R) -> (R, Rc<Telemetry>) {
     let tel = telemetry::enable();

@@ -335,7 +335,7 @@ pub fn whatif_json(
     let _ = write!(
         out,
         "{{\"config\":\"{}\",\"base_ns\":{},\"critpath\":{},\"knobs\":[",
-        simcore::escape_json(config),
+        telemetry::json::escape_json(config),
         cp.total_ns,
         cp.to_json(),
     );
@@ -346,7 +346,7 @@ pub fn whatif_json(
         let _ = write!(
             out,
             "{{\"knob\":\"{}\",\"base_ns\":{},\"measured_ns\":{},\"measured_speedup\":{:.6}",
-            simcore::escape_json(&r.knob),
+            telemetry::json::escape_json(&r.knob),
             r.base_ns,
             r.measured_ns,
             r.measured_speedup(),
@@ -374,8 +374,8 @@ pub fn whatif_json(
             let _ = write!(
                 out,
                 "{{\"mechanism\":\"{}\",\"knob\":\"{}\",\"t_knob_ns\":{},\"share_of_gap\":{:.6}}}",
-                simcore::escape_json(m.mechanism),
-                simcore::escape_json(&m.knob),
+                telemetry::json::escape_json(m.mechanism),
+                telemetry::json::escape_json(&m.knob),
                 m.t_knob_ns,
                 m.share_of_gap,
             );

@@ -31,7 +31,6 @@
 
 pub mod cost;
 pub mod event;
-pub mod json;
 pub mod lock;
 pub mod recorder;
 pub mod resource;
@@ -41,7 +40,6 @@ pub mod time;
 
 pub use cost::CostModel;
 pub use event::{ClosureFn, EventHandler, EventId, HandlerId, OnceFn};
-pub use json::escape_json;
 pub use lock::{SimLock, SimTryLock, TryAcquire};
 pub use recorder::{MarkKind, Recorder};
 pub use resource::SimResource;

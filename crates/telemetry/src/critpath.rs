@@ -19,11 +19,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use simcore::{escape_json, MarkKind};
+use simcore::MarkKind;
 
 use crate::causal::{CausalLog, MarkRec};
-
 use crate::flow::{stage, FlowRec, UNSET};
+use crate::json::escape_json;
 
 /// One labeled interval on a critical path. Segments are contiguous:
 /// each starts where the previous one ended.
@@ -213,12 +213,6 @@ impl CritPath {
     /// On-path time of `component`, ns (0 when absent).
     pub fn component_ns(&self, component: &str) -> u64 {
         self.components.iter().find(|c| c.component == component).map(|c| c.on_path_ns).unwrap_or(0)
-    }
-
-    /// Sum of on-path time over every component whose label satisfies
-    /// `pred` — e.g. all `.wait` components, or one lock plus its waits.
-    pub fn component_ns_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.components.iter().filter(|c| pred(&c.component)).map(|c| c.on_path_ns).sum()
     }
 
     /// Ranked human-readable report.

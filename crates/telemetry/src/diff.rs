@@ -24,8 +24,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use simcore::escape_json;
-
+use crate::json::escape_json;
 use crate::profile::STATES;
 use crate::record::RunRecord;
 

@@ -194,11 +194,6 @@ impl Histogram {
         (bucket_lower(idx), bucket_upper(idx))
     }
 
-    /// Number of buckets (the fixed `counts` length).
-    pub fn num_buckets() -> usize {
-        NBUCKETS
-    }
-
     /// Reconstruct a histogram from exact per-bucket counts plus the
     /// tracked `sum`/`min`/`max` (as serialized by
     /// [`Histogram::to_json`]). Returns an error on an out-of-range

@@ -1,17 +1,40 @@
-//! A minimal JSON parser, used to validate exported traces (the build is
-//! offline, so no external JSON crate is available).
+//! JSON for the hand-written exporters (the build is offline, so no
+//! external JSON crate is available): the one string escaper every
+//! exporter in the workspace routes its literals through, and a minimal
+//! parser used to validate exported documents.
 //!
-//! Supports the full JSON grammar the exporters emit: objects, arrays,
-//! strings with escapes, numbers, booleans, null. Not optimized — it is a
-//! test/validation tool, not a runtime dependency of the simulator.
-//!
-//! String *escaping* lives in one place for the whole workspace:
-//! [`simcore::json::escape_json`], re-exported here so telemetry code can
-//! keep importing `crate::json::escape_json`. The round-trip tests below
-//! pin the contract between that escaper and this parser on hostile
-//! inputs.
+//! The parser supports the full JSON grammar the exporters emit:
+//! objects, arrays, strings with escapes, numbers, booleans, null. It is
+//! not optimized — it is a test/validation tool, not a runtime dependency
+//! of the simulator. The round-trip tests below pin the contract between
+//! [`escape_json`] and [`parse`] on hostile inputs.
 
-pub use simcore::escape_json;
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// Escape a string for inclusion inside a JSON string literal.
+///
+/// Borrows when no escaping is needed (the common case for track/label
+/// names), so callers pay no allocation unless the input actually contains
+/// `"`, `\` or control characters.
+pub fn escape_json(s: &str) -> Cow<'_, str> {
+    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 8);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to string"),
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +89,7 @@ impl Value {
 
 /// Parse `src` as a single JSON document.
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser { b: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src, b: src.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -77,6 +100,7 @@ pub fn parse(src: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -179,10 +203,9 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // through unchanged). `pos` sits on a char boundary
+                    // here, so slicing the source is O(1).
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     if (c as u32) < 0x20 {
                         return Err(format!("raw control char at byte {}", self.pos));
                     }
@@ -269,6 +292,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn escape_json_borrows_when_clean() {
+        assert!(matches!(escape_json("loc0/core1"), Cow::Borrowed(_)));
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn multibyte_passes_through_unescaped() {
+        assert_eq!(escape_json("héllo → 🌍"), "héllo → 🌍");
+        // Mixed hostile + multibyte still only escapes what JSON requires.
+        assert_eq!(escape_json("🌍\"\t"), "🌍\\\"\\t");
+    }
+
+    #[test]
+    fn every_control_char_is_escaped() {
+        for b in 0u32..0x20 {
+            let s = char::from_u32(b).unwrap().to_string();
+            let escaped = escape_json(&s);
+            assert!(escaped.starts_with('\\'), "control {b:#x} not escaped: {escaped:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   `working/progress/lock-wait/serialize/idle` accounting whose state
 //!   durations partition each core's elapsed virtual time exactly, with
 //!   folded-stack flamegraph output and a ranked core-time report (see
-//!   [`profile`]).
+//!   [`profile`]). It is also the one record of scheduler slices: the
+//!   Chrome core tracks are drawn from it.
 //!
 //! ## Enable/disable
 //!
@@ -27,8 +28,12 @@
 //! collector in simcore's one per-thread recorder slot and [`disable`]
 //! empties it. The engine, the contention primitives and every layer
 //! above report into that slot as things happen — provenance edges, lock
-//! and resource accesses, time marks, parcel flows and per-core spans —
-//! so a collector holds exactly what ran while it was installed. Call
+//! and resource accesses, time marks, parcel flows and per-core slices —
+//! so a collector holds exactly what ran while it was installed. Each
+//! fact is stored once; derived views (Chrome core tracks, SLO alert
+//! markers, windowed counter tracks) are rendered from those stores at
+//! export, so exporting or capturing never changes what a later export
+//! shows. Call
 //! sites go through the free functions in this module, which no-op when
 //! disabled: the disabled cost is one `Cell<bool>` read per hook, with
 //! zero allocation. Telemetry is *pure observation* — it never schedules
@@ -57,7 +62,6 @@ use std::rc::Rc;
 use simcore::{MarkKind, Recorder, SimTime};
 
 use causal::CausalLog;
-use chrome::Span;
 
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
@@ -80,7 +84,6 @@ struct Inner {
     metrics: Metrics,
     flows: FlowTracer,
     contention: ContentionTable,
-    spans: Vec<Span>,
     profile: CoreProfile,
     /// Parcels begun but not yet delivered, sampled as the
     /// `parcels.in_flight` counter track.
@@ -158,21 +161,8 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Add `n` to counter `key`.
-    pub fn counter_add(&self, key: &'static str, n: u64) {
-        let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.counter_add(key, n);
-        // Untimed updates attribute to the timeline's current window so
-        // window sums still reproduce the run total for every key.
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.counter_at(key, n, t);
-        }
-    }
-
     /// Add `n` to counter `key`, attributing it to instant `t` in the
-    /// windowed timeline (identical to [`Telemetry::counter_add`] when
-    /// timelines are off).
+    /// windowed timeline.
     pub fn counter_add_at(&self, key: &'static str, n: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.counter_add(key, n);
@@ -183,8 +173,7 @@ impl Telemetry {
     }
 
     /// Record `v` into histogram `key`, attributing it to instant `t` in
-    /// the windowed timeline (identical to [`Telemetry::hist_record`]
-    /// when timelines are off).
+    /// the windowed timeline.
     pub fn hist_record_at(&self, key: &'static str, v: u64, t: SimTime) {
         let inner = &mut *self.inner.borrow_mut();
         inner.metrics.hist_record(key, v);
@@ -197,16 +186,6 @@ impl Telemetry {
     /// Set gauge `key`.
     pub fn gauge_set(&self, key: &'static str, v: i64) {
         self.inner.borrow_mut().metrics.gauge_set(key, v);
-    }
-
-    /// Record into histogram `key`.
-    pub fn hist_record(&self, key: &'static str, v: u64) {
-        let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.hist_record(key, v);
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.hist_at(key, v, t);
-        }
     }
 
     /// Append a counter-track sample.
@@ -313,7 +292,8 @@ impl Telemetry {
         self.inner.borrow_mut().profile.set_loc(loc);
     }
 
-    /// Record a scheduler-level (base) profiler interval on `(loc, core)`.
+    /// Record a scheduler-level (base) profiler interval on `(loc, core)`
+    /// — one scheduler slice (see [`CoreProfile::record_base`]).
     pub fn profile_record(
         &self,
         loc: usize,
@@ -325,6 +305,11 @@ impl Telemetry {
     ) {
         let inner = &mut *self.inner.borrow_mut();
         inner.profile.record_base(loc, core, state, label, start.as_nanos(), end.as_nanos());
+        // A zero-length slice is drawn but accounts no time, so it does
+        // not advance the timeline either.
+        if end == start {
+            return;
+        }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(end.as_nanos());
             inner.tl_poll();
@@ -365,35 +350,47 @@ impl Telemetry {
         self.inner.borrow().profile.folded(config)
     }
 
-    /// Record a span of virtual time on `track` (e.g. one task on
-    /// `loc0/core3`).
-    pub fn span(&self, track: String, label: &'static str, start: SimTime, end: SimTime) {
-        debug_assert!(end >= start, "span must not be negative");
-        self.inner.borrow_mut().spans.push(Span { track, label, start, end });
-    }
-
-    /// Number of recorded spans.
+    /// Number of recorded core slices.
     pub fn span_count(&self) -> usize {
-        self.inner.borrow().spans.len()
+        self.inner.borrow().profile.slices().len()
     }
 
-    /// Total virtual time covered by the recorded spans, per label,
+    /// Total virtual time covered by the recorded core slices, per label,
     /// descending.
     pub fn span_totals(&self) -> Vec<(&'static str, u64)> {
         let mut map: HashMap<&'static str, u64> = HashMap::new();
-        for s in &self.inner.borrow().spans {
-            *map.entry(s.label).or_default() += s.end.since(s.start);
+        for s in self.inner.borrow().profile.slices() {
+            *map.entry(s.label).or_default() += s.end - s.start;
         }
         let mut v: Vec<_> = map.into_iter().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v
     }
 
-    /// The combined Chrome-trace JSON: recorded spans, parcel flows and
-    /// counter tracks.
+    /// The combined Chrome-trace JSON: core slices, SLO alert markers,
+    /// parcel flows, and recorded plus windowed counter tracks. Closes
+    /// the timeline first ([`Telemetry::timeline_finalize`]).
     pub fn chrome_trace_collected(&self) -> String {
+        self.render_chrome(None)
+    }
+
+    /// [`Telemetry::chrome_trace_collected`] plus critical-path overlay:
+    /// on-path segments as slices on a dedicated `critpath` track, a
+    /// `critpath.total_us` counter, and on-path parcel flows highlighted.
+    pub fn chrome_trace_with_critpath(&self, cp: &CritPath) -> String {
+        self.render_chrome(Some(cp))
+    }
+
+    fn render_chrome(&self, cp: Option<&CritPath>) -> String {
+        self.timeline_finalize();
         let inner = self.inner.borrow();
-        chrome::chrome_trace(&inner.spans, inner.flows.flows(), &inner.metrics)
+        chrome::chrome_trace(
+            inner.profile.slices(),
+            inner.flows.flows(),
+            &inner.metrics,
+            inner.timeline.as_ref(),
+            cp,
+        )
     }
 
     /// Read access to the causal provenance log.
@@ -413,23 +410,10 @@ impl Telemetry {
         critpath::parcel_paths(self.inner.borrow().flows.flows())
     }
 
-    /// [`Telemetry::chrome_trace_collected`] plus critical-path overlay:
-    /// on-path segments as spans on a dedicated `critpath` track, a
-    /// `critpath.total_us` counter, and on-path parcel flows highlighted.
-    pub fn chrome_trace_with_critpath(&self, cp: &CritPath) -> String {
-        let inner = self.inner.borrow();
-        chrome::chrome_trace_with_critpath(&inner.spans, inner.flows.flows(), &inner.metrics, cp)
-    }
-
     /// Attach a windowed timeline to this collector (normally done by
     /// [`enable_with`] before the run starts).
     pub fn enable_timeline(&self, cfg: TimelineConfig) {
         self.inner.borrow_mut().timeline = Some(Timeline::new(cfg));
-    }
-
-    /// Whether this collector carries a timeline.
-    pub fn timeline_enabled(&self) -> bool {
-        self.inner.borrow().timeline.is_some()
     }
 
     /// Read access to the timeline; `None` when timelines are off.
@@ -477,11 +461,10 @@ impl Telemetry {
     }
 
     /// Close out the timeline at end of run: evaluate the remaining
-    /// windows, take any still-armed flight-recorder dump, render each
-    /// alert as a zero-duration span on its `slo/<rule>` track, and
-    /// inject the per-window counter tracks into the metrics registry so
-    /// the Chrome export grows timeline counter tracks. Idempotent; no-op
-    /// when timelines are off.
+    /// windows and take any still-armed flight-recorder dump. It writes
+    /// nothing anywhere else — the Chrome export renders alerts and
+    /// windowed series from the timeline itself. Idempotent; no-op when
+    /// timelines are off.
     pub fn timeline_finalize(&self) {
         let inner = &mut *self.inner.borrow_mut();
         let Some(tl) = &mut inner.timeline else { return };
@@ -490,20 +473,6 @@ impl Telemetry {
         }
         tl.finalize();
         inner.tl_poll();
-        let Some(tl) = &mut inner.timeline else { return };
-        for a in tl.alerts() {
-            inner.spans.push(Span {
-                track: format!("slo/{}", a.rule),
-                label: "alert",
-                start: SimTime::from_nanos(a.end_ns),
-                end: SimTime::from_nanos(a.end_ns),
-            });
-        }
-        for (name, series) in tl.counter_tracks() {
-            for (t, v) in series {
-                inner.metrics.track_sample(&name, t, v);
-            }
-        }
     }
 
     /// The deterministic SLO alert list (empty when timelines are off).
@@ -724,18 +693,6 @@ pub fn take_route(src: usize, dst: usize, tag_base: u64) -> Vec<u64> {
     flows
 }
 
-/// Add to a counter on the active collector.
-#[inline]
-pub fn counter_add(key: &'static str, n: u64) {
-    with(|tel| tel.counter_add(key, n));
-}
-
-/// Record into a histogram on the active collector.
-#[inline]
-pub fn hist_record(key: &'static str, v: u64) {
-    with(|tel| tel.hist_record(key, v));
-}
-
 /// Add to a counter, attributed to instant `t` in the windowed timeline.
 #[inline]
 pub fn counter_add_at(key: &'static str, n: u64, t: SimTime) {
@@ -775,7 +732,8 @@ pub fn profile_set_loc(loc: usize) {
     with(|tel| tel.profile_set_loc(loc));
 }
 
-/// Record a base profiler interval; no-op when disabled or empty.
+/// Record a base profiler interval (a scheduler slice); no-op when
+/// disabled.
 #[inline]
 pub fn profile_record(
     loc: usize,
@@ -785,9 +743,7 @@ pub fn profile_record(
     start: SimTime,
     end: SimTime,
 ) {
-    if end > start {
-        with(|tel| tel.profile_record(loc, core, state, label, start, end));
-    }
+    with(|tel| tel.profile_record(loc, core, state, label, start, end));
 }
 
 /// Record an overlay profiler interval on the current locality; no-op
@@ -822,7 +778,7 @@ mod tests {
             assert!(!enabled());
             assert_eq!(flow_begin(0, 1, 0, SimTime::ZERO), 0);
             flow_mark(1, stage::PUT, SimTime::ZERO);
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             assert!(take_route(0, 1, 5).is_empty());
             with(|_| panic!("no collector installed"));
             // Hooks from the engine and the primitives are inert too.
@@ -840,7 +796,7 @@ mod tests {
             let id = flow_begin(0, 1, 2, SimTime::from_nanos(5));
             assert_eq!(id, 1);
             flow_mark(id, stage::DELIVER, SimTime::from_nanos(500));
-            counter_add("parcels", 3);
+            counter_add_at("parcels", 3, SimTime::ZERO);
             register_route(0, 1, 7, &[id]);
             assert_eq!(take_route(0, 1, 7), vec![id]);
             disable();
@@ -860,7 +816,7 @@ mod tests {
             let id = flow_begin(0, 1, 0, SimTime::ZERO);
             flow_mark(id, stage::DELIVER, SimTime::from_nanos(100));
             register_route(0, 1, 99, &[id]);
-            counter_add("parcels", 7);
+            counter_add_at("parcels", 7, SimTime::ZERO);
             profile_set_loc(3);
             simcore::recorder::with(|r| r.on_execute(1, 50, 0));
             simcore::recorder::mark(
@@ -904,11 +860,11 @@ mod tests {
     fn enable_while_enabled_resets_cleanly() {
         with_clean_state(|| {
             let stale = enable();
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             // A run that forgot to disable: the next enable must not let
             // the stale collector keep collecting.
             let fresh = enable();
-            counter_add("x", 1);
+            counter_add_at("x", 1, SimTime::ZERO);
             disable();
             assert_eq!(stale.with_metrics(|m| m.counter("x")), 1);
             assert_eq!(fresh.with_metrics(|m| m.counter("x")), 1);
@@ -977,24 +933,25 @@ mod tests {
         });
     }
 
-    /// Spans land in the collector as they are recorded.
+    /// Core slices land in the collector as they are recorded; polls are
+    /// accounted but not drawn.
     #[test]
     fn spans_record_as_they_happen() {
         with_clean_state(|| {
             let tel = enable();
-            let span = |track: &str, label, start, end| {
-                with(|t| {
-                    let (s, e) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
-                    t.span(track.to_string(), label, s, e)
-                })
+            let slice = |core, label, start, end| {
+                let (s, e) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+                profile_record(0, core, CoreState::Working, label, s, e);
             };
-            span("loc0/core0", "task", 0, 100);
-            span("loc0/core1", "bg", 50, 80);
-            span("loc0/core0", "task", 100, 150);
+            slice(0, "task", 0, 100);
+            slice(1, "bg", 50, 80);
+            slice(1, profile::POLL, 80, 90);
+            slice(0, "task", 100, 150);
             disable();
-            span("loc0/core0", "task", 150, 900);
+            slice(0, "task", 150, 900);
             assert_eq!(tel.span_count(), 3);
             assert_eq!(tel.span_totals(), [("task", 150), ("bg", 30)]);
+            assert_eq!(tel.with_profile(|p| p.account(0, 1).unwrap().elapsed_ns()), 90);
             assert!(tel.chrome_trace_collected().contains("\"tid\":\"loc0/core1\""));
         });
     }

@@ -94,32 +94,6 @@ impl Metrics {
     pub fn tracks(&self) -> impl Iterator<Item = (&str, &[(u64, f64)])> + '_ {
         self.tracks.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
-
-    /// One named track's samples.
-    pub fn track(&self, name: &str) -> Option<&[(u64, f64)]> {
-        self.tracks.get(name).map(|v| v.as_slice())
-    }
-
-    /// Fold `other` into `self`: counters sum, gauges take `other`'s
-    /// value, histograms merge, track series interleave in time order —
-    /// equivalent to one registry having recorded the union of both
-    /// sample streams (see the property tests in `tests/profile_props.rs`).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.gauges {
-            self.gauges.insert(k, v);
-        }
-        for (&k, h) in &other.hists {
-            self.hists.entry(k).or_default().merge(h);
-        }
-        for (k, series) in &other.tracks {
-            let dst = self.tracks.entry(k.clone()).or_default();
-            dst.extend(series.iter().copied());
-            dst.sort_by_key(|&(t, _)| t);
-        }
-    }
 }
 
 /// What kind of synchronization object a contention row describes.

@@ -1,5 +1,5 @@
 //! Virtual-time core profiler: per-core state accounting, folded-stack
-//! flamegraphs, and utilization timelines.
+//! flamegraphs, and the core slices drawn on the Chrome core tracks.
 //!
 //! Every simulated core owns a [`CoreAccount`] that partitions its elapsed
 //! virtual time into five [`CoreState`]s: `working` (HPX task execution),
@@ -31,11 +31,20 @@
 //! [`CoreProfile::folded`] renders them in the folded-stack format that
 //! `inferno` / `flamegraph.pl` consume
 //! (`config;locL/coreC;state;leaf weight` per line, weights in ns).
+//!
+//! ## Core slices
+//!
+//! The profile is also the one record of scheduler slices: every base
+//! record except a [`POLL`] (a charged poll that found no work) is kept
+//! as a [`CoreSlice`], in record order, and the Chrome export draws those
+//! slices on the core tracks. Every per-core view — Chrome core slices
+//! and flow slices, folded stacks, the core-time report — names its core
+//! with [`CoreTrack`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use simcore::escape_json;
+use crate::json::escape_json;
 
 /// Core activity states, in display order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,6 +88,36 @@ impl CoreState {
     fn from_u8(v: u8) -> CoreState {
         STATES[v as usize]
     }
+}
+
+/// Label of a scheduler slice that found no work: accounted like any
+/// base record, but drawn on no core track.
+pub const POLL: &str = "poll";
+
+/// The track name of one core, `loc{L}/core{C}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreTrack(pub usize, pub usize);
+
+impl fmt::Display for CoreTrack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "loc{}/core{}", self.0, self.1)
+    }
+}
+
+/// One scheduler slice that did work (a base record not labelled
+/// [`POLL`]), as drawn on its core track. Zero-length slices are kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreSlice {
+    /// Locality id.
+    pub loc: usize,
+    /// Core index within the locality.
+    pub core: usize,
+    /// What ran (`task`, `background`, `progress`).
+    pub label: &'static str,
+    /// Slice start, virtual ns.
+    pub start: u64,
+    /// Slice end, virtual ns.
+    pub end: u64,
 }
 
 /// Timeline segments kept per core before rendering stops recording them
@@ -234,34 +273,6 @@ impl CoreAccount {
         self.segments.iter().map(|&(s, e, st)| (s, e, CoreState::from_u8(st)))
     }
 
-    /// Busy (non-idle) share per bucket over `[0, horizon)`, from the
-    /// recorded segments.
-    pub fn busy_timeline(&self, horizon: u64, buckets: usize) -> Vec<f64> {
-        let mut out = vec![0.0; buckets];
-        if horizon == 0 || buckets == 0 {
-            return out;
-        }
-        let width = horizon as f64 / buckets as f64;
-        for &(s, e, st) in &self.segments {
-            if CoreState::from_u8(st) == CoreState::Idle {
-                continue;
-            }
-            let first = ((s as f64 / width) as usize).min(buckets - 1);
-            let last = (((e - 1) as f64 / width) as usize).min(buckets - 1);
-            for (b, slot) in out.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = (b as f64 * width).max(s as f64);
-                let hi = ((b + 1) as f64 * width).min(e as f64);
-                if hi > lo {
-                    *slot += (hi - lo) / width;
-                }
-            }
-        }
-        for v in &mut out {
-            *v = v.clamp(0.0, 1.0);
-        }
-        out
-    }
-
     /// The hard invariant: state durations partition `[0, cursor]`.
     pub fn check_partition(&self) -> Result<(), String> {
         let sum: u64 = self.ns.iter().sum();
@@ -276,11 +287,13 @@ impl CoreAccount {
     }
 }
 
-/// The per-core accounts of one run, keyed by `(locality, core)`, plus
-/// the locality context used to attribute probe-driven overlays.
+/// The per-core accounts of one run, keyed by `(locality, core)`, the
+/// core slices in record order, and the locality context used to
+/// attribute probe-driven overlays.
 #[derive(Debug, Default)]
 pub struct CoreProfile {
     cores: BTreeMap<(usize, usize), CoreAccount>,
+    slices: Vec<CoreSlice>,
     current_loc: usize,
 }
 
@@ -301,7 +314,9 @@ impl CoreProfile {
         self.current_loc
     }
 
-    /// Record a base interval on `(loc, core)`.
+    /// Record a base interval on `(loc, core)`. Unless it is a [`POLL`],
+    /// it is also kept as a [`CoreSlice`]; a zero-length interval is kept
+    /// as a slice only and accounts no time.
     pub fn record_base(
         &mut self,
         loc: usize,
@@ -311,7 +326,17 @@ impl CoreProfile {
         start_ns: u64,
         end_ns: u64,
     ) {
-        self.cores.entry((loc, core)).or_default().record_base(state, label, start_ns, end_ns);
+        if label != POLL {
+            self.slices.push(CoreSlice { loc, core, label, start: start_ns, end: end_ns });
+        }
+        if end_ns > start_ns {
+            self.cores.entry((loc, core)).or_default().record_base(state, label, start_ns, end_ns);
+        }
+    }
+
+    /// The core slices, in record order.
+    pub fn slices(&self) -> &[CoreSlice] {
+        &self.slices
     }
 
     /// Record an overlay interval on `core` of the current locality.
@@ -376,7 +401,8 @@ impl CoreProfile {
         let mut out = String::new();
         for ((loc, core), acct) in self.snapshot() {
             for (state, leaf, ns) in acct.leaves() {
-                let _ = writeln!(out, "{config};loc{loc}/core{core};{};{leaf} {ns}", state.label());
+                let track = CoreTrack(loc, core);
+                let _ = writeln!(out, "{config};{track};{};{leaf} {ns}", state.label());
             }
         }
         out
@@ -412,16 +438,6 @@ impl CoreRow {
             0.0
         } else {
             self.ns[state as usize] as f64 / total as f64
-        }
-    }
-
-    /// `state`'s share of *busy* time (0 when never busy).
-    pub fn busy_share(&self, state: CoreState) -> f64 {
-        let busy = self.busy_ns();
-        if busy == 0 {
-            0.0
-        } else {
-            self.ns[state as usize] as f64 / busy as f64
         }
     }
 }
@@ -462,7 +478,7 @@ impl CoreTimeReport {
             let _ = writeln!(
                 out,
                 "  {:<12} {:>10.1} {:>6.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>6.1}%",
-                format!("loc{}/core{}", r.loc, r.core),
+                CoreTrack(r.loc, r.core).to_string(),
                 r.busy_ns() as f64 / 1e3,
                 100.0 * r.busy_ns() as f64 / r.total_ns().max(1) as f64,
                 100.0 * r.share(CoreState::Working),
@@ -537,18 +553,6 @@ pub fn sparkline(values: &[f64]) -> String {
             } else {
                 BARS[((v / max * 7.0).round() as usize).min(7)]
             }
-        })
-        .collect()
-}
-
-/// Render `values` (each in `[0, 1]`) as one ASCII heatmap row.
-pub fn heatmap_row(values: &[f64]) -> String {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    values
-        .iter()
-        .map(|&v| {
-            let idx = (v.clamp(0.0, 1.0) * (RAMP.len() - 1) as f64).round() as usize;
-            RAMP[idx.min(RAMP.len() - 1)] as char
         })
         .collect()
 }
@@ -666,17 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_timeline_tracks_activity() {
-        let mut a = CoreAccount::default();
-        a.record_base(CoreState::Working, "task", 0, 500);
-        a.finalize(1000);
-        let tl = a.busy_timeline(1000, 10);
-        assert_eq!(tl.len(), 10);
-        assert!(tl[0] > 0.99 && tl[4] > 0.99, "tl: {tl:?}");
-        assert!(tl[9] < 0.01, "tl: {tl:?}");
-    }
-
-    #[test]
     fn resample_averages_and_carries_forward() {
         let series = [(0u64, 2.0), (50, 4.0), (450, 10.0)];
         let r = resample(&series, 1000, 10);
@@ -688,13 +681,28 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_and_heatmap_shapes() {
+    fn sparkline_shape() {
         assert_eq!(sparkline(&[]), "");
         let s = sparkline(&[0.0, 0.5, 1.0]);
         assert_eq!(s.chars().count(), 3);
         assert!(s.ends_with('█'));
-        let h = heatmap_row(&[0.0, 0.5, 1.0]);
-        assert_eq!(h.len(), 3);
-        assert!(h.starts_with(' ') && h.ends_with('@'));
+    }
+
+    /// Base records that did work become core slices in record order,
+    /// zero-length ones included; polls are accounted but not drawn.
+    #[test]
+    fn work_slices_are_kept_in_record_order() {
+        let mut p = CoreProfile::new();
+        p.record_base(0, 1, CoreState::Working, "task", 0, 100);
+        p.record_base(0, 0, CoreState::Progress, POLL, 0, 40);
+        p.record_base(1, 0, CoreState::Progress, "progress", 70, 70);
+        p.record_base(0, 0, CoreState::Progress, "background", 40, 90);
+        let drawn: Vec<_> = p.slices().iter().map(|s| (s.loc, s.core, s.label)).collect();
+        assert_eq!(drawn, [(0, 1, "task"), (1, 0, "progress"), (0, 0, "background")]);
+        assert_eq!(p.slices()[1].start, p.slices()[1].end);
+        // The zero-length slice accounts no time and opens no account.
+        assert!(p.account(1, 0).is_none());
+        assert_eq!(p.account(0, 0).unwrap().state_ns(CoreState::Progress), 90);
+        assert_eq!(CoreTrack(3, 7).to_string(), "loc3/core7");
     }
 }

@@ -27,10 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use simcore::escape_json;
-
 use crate::hist::Histogram;
-use crate::json::{self, Value};
+use crate::json::{self, escape_json, Value};
 use crate::profile::{CoreState, N_STATES, STATES};
 use crate::Telemetry;
 
@@ -184,9 +182,9 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// Capture a record from a finished instrumented run. Read-only on
-    /// the collector (finalizes the timeline, which is idempotent and
-    /// happens after the simulated run ends); `meta` comes from the
-    /// harness.
+    /// the collector (it closes the timeline, which is idempotent, happens
+    /// after the simulated run ends and changes no other store); `meta`
+    /// comes from the harness.
     pub fn capture(tel: &Telemetry, meta: RunMeta) -> RunRecord {
         tel.timeline_finalize();
         let mut rec = RunRecord { version: SCHEMA_VERSION, meta, ..RunRecord::default() };
@@ -714,9 +712,10 @@ mod tests {
     #[test]
     fn capture_from_live_collector() {
         let tel = crate::enable();
-        tel.counter_add("parcels.sent", 3);
-        tel.hist_record("parcel.latency_ns", 1_500);
-        tel.hist_record("parcel.latency_ns", 2_500);
+        let t = simcore::SimTime::ZERO;
+        tel.counter_add_at("parcels.sent", 3, t);
+        tel.hist_record_at("parcel.latency_ns", 1_500, t);
+        tel.hist_record_at("parcel.latency_ns", 2_500, t);
         crate::disable();
         let meta = RunMeta { scenario: "unit".into(), config: "cfg".into(), ..Default::default() };
         let rec = RunRecord::capture(&tel, meta);

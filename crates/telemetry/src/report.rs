@@ -3,10 +3,11 @@
 
 use std::fmt::Write as _;
 
-use simcore::{escape_json, Summary};
+use simcore::Summary;
 
 use crate::flow::{stage, FlowRec, STAGE_NAMES, UNSET};
 use crate::hist::Histogram;
+use crate::json::escape_json;
 use crate::metrics::ContentionStat;
 
 /// Aggregated durations for one lifecycle stage: the time from entering

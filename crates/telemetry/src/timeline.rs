@@ -19,8 +19,10 @@
 //!   window, fed by the switch fabric's port accesses;
 //! * **SLO monitors** ([`SloRule`]) — latency-objective burn-rate rules
 //!   evaluated per window as the run advances, emitting deterministic
-//!   [`SloAlert`] events (also rendered as zero-duration spans on
-//!   `slo/<rule>` tracks in the Chrome export);
+//!   [`SloAlert`] events. The Chrome export renders them at export time
+//!   as zero-duration markers on `slo/<rule>` tracks, next to the
+//!   windowed series of [`Timeline::counter_tracks`]; the timeline
+//!   itself is never copied into another store;
 //! * the **flight recorder** — a bounded ring of recent flow / probe /
 //!   fault records. The first SLO alert or injected fault *arms* it; a
 //!   short post-roll later (so the consequences — rerouted parcels, retry
@@ -641,11 +643,6 @@ impl Timeline {
         self.ports.keys().copied()
     }
 
-    /// Sum of per-window wait of port `name`, ns.
-    pub fn port_total_wait(&self, name: &str) -> u64 {
-        self.ports.get(name).map(|ws| ws.values().map(|p| p.wait_ns).sum()).unwrap_or(0)
-    }
-
     /// Counter-track series for the Perfetto export: per-window rates for
     /// every windowed counter (`tl.<key>.per_window`), per-window p99 for
     /// every windowed histogram (`tl.<key>.p99_us`), per-window wait for
@@ -1115,10 +1112,10 @@ mod tests {
 
     #[test]
     fn occupancy_slicing_preserves_partition() {
-        use crate::profile::CoreProfile;
+        use crate::profile::{CoreProfile, POLL};
         let mut p = CoreProfile::new();
         p.record_base(0, 0, CoreState::Working, "task", 0, 250);
-        p.record_base(0, 0, CoreState::Progress, "poll", 250, 420);
+        p.record_base(0, 0, CoreState::Progress, POLL, 250, 420);
         let snap = p.snapshot();
         let occ = slice_occupancy(snap.values(), 100, 5);
         let total: u64 = occ.totals.iter().sum();

@@ -1,11 +1,10 @@
-//! Property tests for the virtual-time core profiler and the metrics
-//! registry: the partition invariant under arbitrary probe
-//! interleavings, and merge-equals-union for histograms, counters and
-//! counter-track timelines.
+//! Property tests for the virtual-time core profiler and histogram
+//! merging: the partition invariant under arbitrary probe interleavings,
+//! and merge-order independence for histograms.
 
 use proptest::prelude::*;
 use telemetry::profile::CoreProfile;
-use telemetry::{CoreState, Histogram, Metrics};
+use telemetry::{CoreState, Histogram};
 
 /// The states a probe can report (idle is never reported, only derived).
 const STATES: [CoreState; 4] =
@@ -100,52 +99,6 @@ proptest! {
             let before = acct.state_table();
             acct.finalize(horizon);
             prop_assert_eq!(before, acct.state_table());
-        }
-    }
-
-    /// `Metrics::merge` must be indistinguishable from one registry that
-    /// recorded the union of both streams: counters sum, histograms
-    /// union, and counter-track timelines interleave into the same
-    /// time-ordered multiset of samples.
-    #[test]
-    fn merged_metrics_equal_union(
-        xs in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
-        ys in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
-    ) {
-        const KEYS: [&str; 3] = ["k.a", "k.b", "k.c"];
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        let mut u = Metrics::new();
-        for &(ki, v) in &xs {
-            a.counter_add(KEYS[ki], v);
-            u.counter_add(KEYS[ki], v);
-            a.hist_record(KEYS[ki], v);
-            u.hist_record(KEYS[ki], v);
-            a.track_sample(KEYS[ki], v, v as f64);
-            u.track_sample(KEYS[ki], v, v as f64);
-        }
-        for &(ki, v) in &ys {
-            b.counter_add(KEYS[ki], v);
-            u.counter_add(KEYS[ki], v);
-            b.hist_record(KEYS[ki], v);
-            u.hist_record(KEYS[ki], v);
-            b.track_sample(KEYS[ki], v, v as f64);
-            u.track_sample(KEYS[ki], v, v as f64);
-        }
-        a.merge(&b);
-        for k in KEYS {
-            prop_assert_eq!(a.counter(k), u.counter(k));
-            match (a.hist(k), u.hist(k)) {
-                (None, None) => {}
-                (Some(ha), Some(hu)) => prop_assert_eq!(ha, hu),
-                other => prop_assert!(false, "hist presence mismatch for {}: {:?}", k, other),
-            }
-            // Track timelines: same time-ordered multiset of samples.
-            let mut ta: Vec<_> = a.track(k).unwrap_or(&[]).to_vec();
-            let mut tu: Vec<_> = u.track(k).unwrap_or(&[]).to_vec();
-            ta.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            tu.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            prop_assert_eq!(ta, tu);
         }
     }
 

@@ -315,6 +315,56 @@ fn run_record_capture_is_pure_and_pinned() {
     );
 }
 
+/// Capture stays pure with a timeline attached: the SLO alert markers
+/// and windowed counter tracks are rendered at export, so neither a
+/// `RunRecord::capture` nor a timeline document changes what the next
+/// export of the same collector shows.
+#[test]
+fn capture_with_timeline_leaves_exports_unchanged() {
+    use hpx_lci_repro::telemetry::record::{RunMeta, RunRecord};
+    use hpx_lci_repro::telemetry::{SloRule, TimelineConfig};
+
+    let cfg_tl = TimelineConfig {
+        slos: vec![SloRule {
+            name: "lat".into(),
+            hist: "parcel.latency_ns".into(),
+            objective_ns: 1_000,
+            target: 0.99,
+            burn_threshold: 1.0,
+            min_samples: 1,
+        }],
+        ..TimelineConfig::default()
+    };
+    let tel = hpx_lci_repro::telemetry::enable_with(cfg_tl);
+    let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
+    p.total_msgs = 1_000;
+    let r = bench::run_msgrate(&p);
+    hpx_lci_repro::telemetry::disable();
+    assert!(r.msg_rate > 0.0);
+
+    let trace_before = tel.chrome_trace_collected();
+    let meta = RunMeta {
+        scenario: "fig1_msgrate_8b".into(),
+        config: "lci_psr_cq_pin_i".into(),
+        params: vec![("total_msgs".into(), "1000".into())],
+        knobs: vec![],
+    };
+    RunRecord::capture(&tel, meta);
+    assert!(
+        trace_before == tel.chrome_trace_collected(),
+        "capturing a run record changed the Chrome trace of the same collector"
+    );
+    assert!(!tel.timeline_alerts().is_empty(), "the SLO rule must fire");
+    assert!(trace_before.contains("\"tid\":\"slo/lat\""), "alert markers missing");
+    assert!(trace_before.contains("\"name\":\"tl.parcel.latency_ns.p99_us\""));
+    let doc = tel.timeline_json("lci_psr_cq_pin_i").expect("timeline attached");
+    assert!(
+        doc == tel.timeline_json("lci_psr_cq_pin_i").expect("timeline attached"),
+        "rendering the timeline document changed it"
+    );
+    assert!(trace_before == tel.chrome_trace_collected(), "a timeline export changed the trace");
+}
+
 #[test]
 fn octotiger_trace_matches_pre_rewrite_engine() {
     use hpx_lci_repro::octotiger_mini::{run_octotiger, OctoParams};

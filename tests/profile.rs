@@ -6,6 +6,7 @@
 //! core 0 and leaves the workers to compute.
 
 use bench::{run_latency, LatencyParams};
+use telemetry::profile::CoreTrack;
 use telemetry::CoreState;
 
 /// A reduced fig8-style run (window 64) with telemetry enabled,
@@ -33,21 +34,21 @@ fn state_durations_partition_virtual_time_after_real_runs() {
         tel.with_profile(|prof| {
             assert!(!prof.is_empty(), "{config}: profiler saw no records");
             let snap = prof.snapshot();
-            for ((loc, core), acct) in &snap {
-                acct.check_partition().unwrap_or_else(|e| {
-                    panic!("{config} loc{loc}/core{core}: partition broken: {e}")
-                });
+            for (&(loc, core), acct) in &snap {
+                let track = CoreTrack(loc, core);
+                acct.check_partition()
+                    .unwrap_or_else(|e| panic!("{config} {track}: partition broken: {e}"));
                 let sum: u64 = acct.state_table().iter().sum();
                 assert_eq!(
                     sum,
                     acct.elapsed_ns(),
-                    "{config} loc{loc}/core{core}: states do not sum to elapsed time"
+                    "{config} {track}: states do not sum to elapsed time"
                 );
                 let leaf_sum: u64 = acct.leaves().map(|(_, _, ns)| ns).sum();
                 assert_eq!(
                     leaf_sum,
                     acct.busy_ns(),
-                    "{config} loc{loc}/core{core}: leaves do not sum to busy time"
+                    "{config} {track}: leaves do not sum to busy time"
                 );
             }
         });
