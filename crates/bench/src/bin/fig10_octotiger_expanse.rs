@@ -1,7 +1,8 @@
 //! Figure 10: Octo-Tiger strong scaling on SDSC Expanse.
 //!
 //! Paper: step count per second for `mpi`, `mpi_i`, and `lci`
-//! (= `lci_psr_cq_rp_i`) over node counts up to 32; LCI wins by up to
+//! (= `lci_psr_cq_rp_i`, run here as `lci_psr_cq_pin_i`: `rp` parses as
+//! an alias of `pin`) over node counts up to 32; LCI wins by up to
 //! 1.175x over `mpi` and up to 13.6x over `mpi_i` (which collapses on the
 //! high-core-count nodes: profiling shows it spinning on the blocking
 //! `ucp_progress` lock inside `MPI_Test`).

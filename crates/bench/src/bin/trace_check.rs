@@ -21,7 +21,7 @@
 //! window_ns`, `end_ns == start_ns + window_ns`); per-window quantiles
 //! are ordered; every histogram's per-window counts/sums/mins/maxes
 //! merge exactly to the run totals; every counter's per-window deltas
-//! sum to the run total; alerts land inside the covered horizon.
+//! sum to the run total.
 //!
 //! `--require-record FILE` validates a run-record document produced by
 //! `--record`: it parses (schema version, histogram bucket counts
@@ -403,26 +403,12 @@ fn validate_timeline(src: &str) -> Result<String, String> {
             return Err(format!("totals counter {key:?}: window deltas do not sum to {total}"));
         }
     }
-    let alerts = tl.get("alerts").and_then(Value::as_arr).unwrap_or(&[]);
-    for (i, a) in alerts.iter().enumerate() {
-        let what = format!("alert {i}");
-        let w = field(a, "window", &what)?;
-        if w >= windows.len() as f64 {
-            return Err(format!("{what}: window {w} outside the covered horizon"));
-        }
-        if field(a, "end_ns", &what)? != (w + 1.0) * window_ns {
-            return Err(format!("{what}: end_ns disagrees with its window"));
-        }
-    }
-    let dumps = tl.get("dumps").and_then(Value::as_arr).map(<[Value]>::len).unwrap_or(0);
     Ok(format!(
-        "{} windows x {} ns, {} histograms and {} counters merge to totals, \
-         {} alerts, {dumps} dumps",
+        "{} windows x {} ns, {} histograms and {} counters merge to totals",
         windows.len(),
         window_ns,
         hist_acc.len(),
-        counter_acc.len(),
-        alerts.len()
+        counter_acc.len()
     ))
 }
 

@@ -14,11 +14,9 @@
 //!   `--trace` output);
 //! * `--whatif KNOBS` — predicted-vs-measured speedup sweep;
 //! * `--timeline FILE` — windowed timeline document (JSON) of the
-//!   nominated run, plus `FILE.om` (OpenMetrics-style text exposition)
-//!   and `FILE.dumpN.json` for any flight-recorder dumps;
-//! * `--slo` — install the default latency-objective burn-rate rules and
-//!   print any alerts;
-//! * `--window-us N` — timeline window width (default 100 µs);
+//!   nominated run, plus `FILE.om` (OpenMetrics-style text exposition);
+//! * `--window-us N` — timeline window width (default 100 µs; a positive
+//!   integer whose nanosecond width fits in `u64`);
 //! * `--record FILE` — canonical [`telemetry::RunRecord`] JSON of the
 //!   nominated run (the cross-run diffing artifact `perf_diff`
 //!   consumes);
@@ -37,7 +35,7 @@
 
 use std::rc::Rc;
 
-use telemetry::{SloRule, Telemetry, TimelineConfig};
+use telemetry::{Telemetry, TimelineConfig};
 
 /// Parsed observability flags.
 #[derive(Debug, Default, Clone)]
@@ -59,8 +57,6 @@ pub struct TraceArgs {
     pub whatif: Option<String>,
     /// Windowed-timeline document path (`--timeline FILE`).
     pub timeline: Option<String>,
-    /// Install the default SLO rules and print alerts (`--slo`).
-    pub slo: bool,
     /// Timeline window width in µs (`--window-us N`).
     pub window_us: Option<u64>,
     /// RunRecord output path for the nominated run (`--record FILE`).
@@ -79,7 +75,7 @@ fn usage(offender: &str) -> ! {
         "unknown argument {offender:?} \
          (supported: --trace FILE, --breakdown, --json FILE, --profile, \
          --folded FILE, --critpath, --whatif KNOBS, --timeline FILE, \
-         --slo, --window-us N, --record FILE, --out DIR, --knobs KNOBS, \
+         --window-us N, --record FILE, --out DIR, --knobs KNOBS, \
          --param K=V)"
     );
     std::process::exit(2);
@@ -114,11 +110,12 @@ impl TraceArgs {
                 "--timeline" => {
                     out.timeline = Some(it.next().expect("--timeline needs a file path"))
                 }
-                "--slo" => out.slo = true,
                 "--window-us" => {
                     let v = it.next().expect("--window-us needs a width in microseconds");
-                    out.window_us =
-                        Some(v.parse().expect("--window-us width must be a positive integer"));
+                    match v.parse().ok().filter(|&us| window_ns(us).is_some()) {
+                        Some(us) => out.window_us = Some(us),
+                        None => bad_window(&v),
+                    }
                 }
                 "--record" => out.record = Some(it.next().expect("--record needs a file path")),
                 "--out" => out.out = Some(it.next().expect("--out needs a directory path")),
@@ -191,21 +188,19 @@ impl TraceArgs {
 
     /// Whether the windowed timeline was requested.
     pub fn timeline_active(&self) -> bool {
-        self.timeline.is_some() || self.slo || self.window_us.is_some()
+        self.timeline.is_some() || self.window_us.is_some()
     }
 
     /// The timeline configuration implied by the flags; `None` when no
-    /// timeline flag is present.
+    /// timeline flag is present. Exits with a usage message when the
+    /// window width is zero or overflows.
     pub fn timeline_config(&self) -> Option<TimelineConfig> {
         if !self.timeline_active() {
             return None;
         }
         let mut cfg = TimelineConfig::default();
         if let Some(us) = self.window_us {
-            cfg.window_ns = us.max(1) * 1_000;
-        }
-        if self.slo {
-            cfg.slos = default_slo_rules();
+            cfg.window_ns = window_ns(us).unwrap_or_else(|| bad_window(&us.to_string()));
         }
         Some(cfg)
     }
@@ -274,29 +269,19 @@ fn parse_knob_list(flag: &str, spec: &str) -> Vec<crate::whatif::Knob> {
         .collect()
 }
 
-/// The default `--slo` rules: end-to-end parcel latency and raw fabric
-/// delivery latency, both at a 99% objective with a burn-rate threshold
-/// of 1 (any window spending its error budget faster than allowed
-/// alerts).
-pub fn default_slo_rules() -> Vec<SloRule> {
-    vec![
-        SloRule {
-            name: "parcel-latency".into(),
-            hist: "parcel.latency_ns".into(),
-            objective_ns: 50_000,
-            target: 0.99,
-            burn_threshold: 1.0,
-            min_samples: 16,
-        },
-        SloRule {
-            name: "fabric-delivery".into(),
-            hist: "fabric.delivery_ns".into(),
-            objective_ns: 20_000,
-            target: 0.99,
-            burn_threshold: 1.0,
-            min_samples: 16,
-        },
-    ]
+/// A `--window-us` width in ns: `None` when it is zero or `us * 1000`
+/// overflows `u64`.
+fn window_ns(us: u64) -> Option<u64> {
+    us.checked_mul(1_000).filter(|&ns| ns > 0)
+}
+
+fn bad_window(v: &str) -> ! {
+    eprintln!(
+        "--window-us {v:?}: width must be a positive integer of microseconds \
+         (at most {})",
+        u64::MAX / 1_000
+    );
+    std::process::exit(2);
 }
 
 /// Run `f` under a fresh telemetry collector configured per `args`
@@ -362,29 +347,39 @@ mod tests {
             "all",
             "--timeline",
             "tl.json",
-            "--slo",
             "--window-us",
             "250",
         ]);
         assert_eq!(a.trace.as_deref(), Some("t.json"));
-        assert!(a.breakdown && a.profile && a.critpath && a.slo);
+        assert!(a.breakdown && a.profile && a.critpath);
         assert_eq!(a.timeline.as_deref(), Some("tl.json"));
         assert_eq!(a.window_us, Some(250));
         assert!(a.active() && a.wants_reports() && a.timeline_active());
         let cfg = a.timeline_config().unwrap();
         assert_eq!(cfg.window_ns, 250_000);
-        assert_eq!(cfg.slos.len(), 2);
     }
 
     #[test]
     fn timeline_flags_activate_the_pass() {
-        let a = parse(&["--slo"]);
+        let a = parse(&["--timeline", "tl.json"]);
         assert!(a.active() && a.timeline_active() && !a.wants_reports());
         let cfg = a.timeline_config().unwrap();
         assert_eq!(cfg.window_ns, telemetry::timeline::DEFAULT_WINDOW_NS);
-        assert!(!cfg.slos.is_empty());
+        let w = parse(&["--window-us", "1"]);
+        assert!(w.active() && w.timeline_active());
+        assert_eq!(w.timeline_config().unwrap().window_ns, 1_000);
         let b = parse(&["--breakdown"]);
         assert!(b.timeline_config().is_none());
+    }
+
+    #[test]
+    fn window_width_rejects_zero_and_overflow() {
+        assert_eq!(window_ns(0), None);
+        assert_eq!(window_ns(1), Some(1_000));
+        let max = u64::MAX / 1_000;
+        assert_eq!(window_ns(max), Some(max * 1_000));
+        assert_eq!(window_ns(max + 1), None);
+        assert_eq!(window_ns(18_446_744_073_709_552), None, "wraps to 384 ns unchecked");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The flags themselves are parsed by [`crate::cli`] (one shared parser;
 //! unknown flags are a hard error) — this module owns what happens with
 //! an instrumented run once it finishes: [`TraceSink`] renders the text
-//! reports, writes the Chrome trace / JSON / folded-stack / timeline
-//! files, and prints SLO alerts and flight-recorder dump locations.
+//! reports and writes the Chrome trace / JSON / folded-stack / timeline
+//! files.
 //!
 //! When any flag is present the harness runs a reduced *instrumented
 //! pass* instead of the full figure sweep: telemetry accumulates per
@@ -129,43 +129,14 @@ impl TraceSink {
         }
     }
 
-    /// Timeline reports of one instrumented run: an alert/dump summary on
+    /// Timeline reports of one instrumented run: a one-line summary on
     /// stdout, plus (for the nominated run) the `--timeline FILE` JSON
-    /// document, `FILE.om` OpenMetrics exposition, and one
-    /// `FILE.dumpN.json` Chrome trace per flight-recorder dump.
+    /// document and `FILE.om` OpenMetrics exposition.
     fn emit_timeline(&self, tel: &Telemetry, config: &str, write_trace: bool) {
-        tel.timeline_finalize();
-        let (nwin, window_ns, late) = tel
-            .with_timeline(|tl| (tl.num_windows(), tl.window_ns(), tl.late_samples()))
+        let (nwin, window_ns) = tel
+            .with_timeline(|tl| (tl.num_windows(), tl.window_ns()))
             .expect("timeline pass runs with a timeline-enabled collector");
-        let alerts = tel.timeline_alerts();
-        let dumps = tel.timeline_dumps();
-        println!(
-            "timeline[{config}]: {nwin} windows x {} us, {} alerts, {} dumps, {late} late samples",
-            window_ns / 1_000,
-            alerts.len(),
-            dumps.len()
-        );
-        for a in &alerts {
-            println!(
-                "  slo alert: {} window {} (ends {} us) burn {:.2} ({}/{} over objective)",
-                a.rule,
-                a.window,
-                a.end_ns / 1_000,
-                a.burn,
-                a.bad,
-                a.total
-            );
-        }
-        for d in &dumps {
-            println!(
-                "  flight dump: {} at window {} ({} records, {} causal marks)",
-                d.reason,
-                d.window,
-                d.records.len(),
-                d.marks.len()
-            );
-        }
+        println!("timeline[{config}]: {nwin} windows x {} us", window_ns / 1_000);
         if !write_trace {
             return;
         }
@@ -174,11 +145,6 @@ impl TraceSink {
             std::fs::write(path, doc).expect("write timeline file");
             let om = tel.timeline_text(config).expect("timeline exposition");
             std::fs::write(format!("{path}.om"), om).expect("write timeline exposition");
-            for (i, d) in dumps.iter().enumerate() {
-                let dump_path = format!("{path}.dump{i}.json");
-                std::fs::write(&dump_path, d.to_chrome_json()).expect("write flight dump");
-                println!("wrote flight-recorder dump ({}) -> {dump_path}", d.reason);
-            }
             println!("wrote timeline of {config} ({nwin} windows) -> {path} (+ {path}.om)");
         }
     }

@@ -72,7 +72,7 @@ pub enum PollOutcome {
 /// polling costs; the waker only carries *timing* information.
 pub type ArrivalWaker = Rc<dyn Fn(&mut Sim, SimTime)>;
 
-struct InFlight {
+struct Transit {
     deliver_at: SimTime,
     pkt: Packet,
 }
@@ -95,7 +95,7 @@ pub struct Fabric {
     rx_access: Vec<SimResource>,
     /// Channel ((src * nodes + dst) * contexts + ctx) → in-flight
     /// packets, delivery ordered.
-    queues: Vec<VecDeque<InFlight>>,
+    queues: Vec<VecDeque<Transit>>,
     /// Per-(dst, ctx) round-robin cursor over sources.
     rx_cursor: Vec<usize>,
     wakers: Vec<Option<ArrivalWaker>>,
@@ -259,7 +259,6 @@ impl Fabric {
                 // Wire-level loss: the NIC retransmits after a round trip.
                 sim.stats.bump("net.retransmitted");
                 deliver_at = deliver_at + busy + 2 * self.model.latency_ns;
-                telemetry::fault_event_at("net.retransmit", inj_start);
             }
             // Causal wire span: injection + serialization + propagation.
             // The `fixed` part is pure propagation latency (what a latency
@@ -299,23 +298,21 @@ impl Fabric {
 
         if dup {
             sim.stats.bump("net.duplicated");
-            telemetry::fault_event_at("net.duplicate", deliver_at);
-            self.queues[chan].push_back(InFlight { deliver_at, pkt: pkt.clone() });
+            self.queues[chan].push_back(Transit { deliver_at, pkt: pkt.clone() });
         }
         match dup_at {
             Some(at) => {
                 sim.stats.bump("net.duplicated");
-                self.queues[chan].push_back(InFlight { deliver_at, pkt: pkt.clone() });
-                self.queues[chan].push_back(InFlight { deliver_at: at, pkt });
+                self.queues[chan].push_back(Transit { deliver_at, pkt: pkt.clone() });
+                self.queues[chan].push_back(Transit { deliver_at: at, pkt });
             }
-            None => self.queues[chan].push_back(InFlight { deliver_at, pkt }),
+            None => self.queues[chan].push_back(Transit { deliver_at, pkt }),
         }
         if reorder {
             let q = &mut self.queues[chan];
             let n = q.len();
             if n >= 2 {
                 sim.stats.bump("net.reordered");
-                telemetry::fault_event_at("net.reorder", deliver_at);
                 q.swap(n - 1, n - 2);
             }
         }

@@ -213,7 +213,6 @@ impl SwitchFabric {
                 self.ports[pflat].counters.link_downed += 1;
             }
         }
-        telemetry::fault_event("fab.link_down");
         self.dist = self.graph.compute_dist(&self.dead);
         self.table = compute_static(&self.graph, &self.dist, &self.dead);
         true
@@ -333,7 +332,6 @@ impl SwitchFabric {
                 retries += 1;
                 self.ports[flat].counters.retries += 1;
                 done = done + 2 * link_lat + service;
-                telemetry::fault_event_at("fab.link_retransmit", t);
             }
             if dup.is_none()
                 && faults.duplicate_prob > 0.0
@@ -343,7 +341,6 @@ impl SwitchFabric {
                 // then continues on its own.
                 let copy_done = self.port_access(flat, t, core, service, bytes);
                 let copy_t = copy_done + link_lat;
-                telemetry::fault_event_at("fab.link_duplicate", t);
                 dup = Some(match peer {
                     Peer::Host(_) => (None, copy_t),
                     Peer::Switch { sw: n, .. } => (Some(n), copy_t),

@@ -74,7 +74,7 @@ const NO_POS: u32 = u32::MAX;
 
 /// One slab slot: ordering key, generation, heap position, provenance,
 /// payload.
-struct Slot {
+struct Entry {
     at: SimTime,
     seq: u64,
     gen: u32,
@@ -90,7 +90,7 @@ struct Slot {
 pub(crate) struct EventQueue {
     /// Heap of slot indices, ordered by the slots' `(at, seq)` keys.
     heap: Vec<u32>,
-    slots: Vec<Slot>,
+    slots: Vec<Entry>,
     free: Vec<u32>,
 }
 
@@ -132,7 +132,7 @@ impl EventQueue {
                 slot
             }
             None => {
-                self.slots.push(Slot { at, seq, gen: 0, pos: NO_POS, parent, kind });
+                self.slots.push(Entry { at, seq, gen: 0, pos: NO_POS, parent, kind });
                 (self.slots.len() - 1) as u32
             }
         };

@@ -1,6 +1,6 @@
-//! Chrome-trace / Perfetto JSON export: core slices, SLO alert markers,
-//! parcel flow arrows and counter tracks, in one event array, rendered
-//! from the collector's stores at export time.
+//! Chrome-trace / Perfetto JSON export: core slices, parcel flow arrows
+//! and counter tracks, in one event array, rendered from the collector's
+//! stores at export time.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -20,9 +20,8 @@ fn us(ns: u64) -> f64 {
 ///
 /// * `slices` — core activity, one `tid` per [`CoreTrack`], as kept by
 ///   [`crate::CoreProfile::record_base`].
-/// * timeline — each SLO alert as a zero-duration `alert` slice on its
-///   `slo/<rule>` track, and the windowed series
-///   ([`Timeline::counter_tracks`]) after the recorded counter tracks.
+/// * timeline — the windowed series ([`Timeline::counter_tracks`]) after
+///   the recorded counter tracks.
 /// * flows — every delivered parcel contributes a send slice on its source
 ///   core track, a deliver slice on its destination core track, and a
 ///   flow-event pair (`ph:"s"` / `ph:"f"`) so Perfetto draws an arrow from
@@ -74,16 +73,6 @@ pub fn chrome_trace(
             us(s.start),
             us(s.end - s.start),
             CoreTrack(s.loc, s.core)
-        );
-    }
-
-    for a in timeline.map(Timeline::alerts).unwrap_or_default() {
-        let _ = write!(
-            out,
-            "{{\"name\":\"alert\",\"ph\":\"X\",\"ts\":{},\"dur\":0,\"pid\":0,\
-             \"tid\":\"slo/{}\"}},",
-            us(a.end_ns),
-            escape_json(&a.rule)
         );
     }
 
@@ -167,7 +156,7 @@ mod tests {
 
     use super::*;
     use crate::flow::FlowTracer;
-    use crate::timeline::{SloRule, TimelineConfig};
+    use crate::timeline::TimelineConfig;
 
     #[test]
     fn full_export_parses_and_contains_flow_pair() {
@@ -199,34 +188,19 @@ mod tests {
         ), "{json}");
     }
 
-    /// A timeline renders its alerts as zero-duration markers on their
-    /// `slo/<rule>` tracks and its windowed series after the recorded
-    /// counter tracks.
+    /// A timeline renders its windowed series after the recorded counter
+    /// tracks, one sample per window.
     #[test]
     fn timeline_views_render_at_export() {
-        let mut tl = Timeline::new(TimelineConfig {
-            window_ns: 100,
-            slos: vec![SloRule {
-                name: "lat".into(),
-                hist: "lat".into(),
-                objective_ns: 50,
-                target: 0.99,
-                burn_threshold: 1.0,
-                min_samples: 1,
-            }],
-            ..TimelineConfig::default()
-        });
+        let mut tl = Timeline::new(TimelineConfig { window_ns: 100 });
         tl.hist_at("lat", 500, 150);
-        tl.finalize();
         let mut m = Metrics::new();
         m.track_sample("zz.recorded", 0, 1.0);
         let json = chrome_trace(&[], &[], &m, Some(&tl), None);
-        assert!(json.starts_with(
-            "[{\"name\":\"alert\",\"ph\":\"X\",\"ts\":0.2,\"dur\":0,\"pid\":0,\"tid\":\"slo/lat\"}"
-        ), "{json}");
         let recorded = json.find("\"zz.recorded\"").expect("recorded track");
         let windowed = json.find("\"tl.lat.p99_us\"").expect("windowed track");
-        assert!(recorded < windowed && json.contains("\"slo.lat.burn\""), "{json}");
+        assert!(recorded < windowed, "{json}");
+        assert_eq!(json.matches("\"tl.lat.p99_us\"").count(), 2, "{json}");
         crate::json::parse(&json).expect("chrome json parses");
     }
 

@@ -149,8 +149,8 @@ impl Histogram {
     /// Number of samples in buckets entirely at or below `v` — a
     /// bucket-granularity count of "samples ≤ v". Samples in a bucket
     /// straddling `v` count as above it, so `count() - count_at_most(v)`
-    /// is a deterministic, slightly conservative bad-sample count for
-    /// SLO evaluation.
+    /// is a deterministic, slightly conservative count of samples over a
+    /// latency objective.
     ///
     /// **Boundary guarantee**: when `v` is the exact upper bound of a
     /// bucket (any value returned by [`Histogram::bucket_bounds`] or

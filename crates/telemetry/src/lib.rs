@@ -30,10 +30,9 @@
 //! above report into that slot as things happen — provenance edges, lock
 //! and resource accesses, time marks, parcel flows and per-core slices —
 //! so a collector holds exactly what ran while it was installed. Each
-//! fact is stored once; derived views (Chrome core tracks, SLO alert
-//! markers, windowed counter tracks) are rendered from those stores at
-//! export, so exporting or capturing never changes what a later export
-//! shows. Call
+//! fact is stored once; derived views (Chrome core tracks, windowed
+//! counter tracks) are rendered from those stores at export, so
+//! exporting or capturing never changes what a later export shows. Call
 //! sites go through the free functions in this module, which no-op when
 //! disabled: the disabled cost is one `Cell<bool>` read per hook, with
 //! zero allocation. Telemetry is *pure observation* — it never schedules
@@ -71,7 +70,7 @@ pub use metrics::{ContentionStat, ContentionTable, Metrics, ResourceKind};
 pub use profile::{CoreProfile, CoreState, CoreTimeReport};
 pub use record::{RunMeta, RunRecord};
 pub use report::{Breakdown, ContentionReport};
-pub use timeline::{FlightDump, SloAlert, SloRule, Timeline, TimelineConfig};
+pub use timeline::{Timeline, TimelineConfig};
 
 /// The collector: metrics + flows + contention, behind one `RefCell`.
 #[derive(Debug, Default)]
@@ -110,49 +109,20 @@ impl Inner {
     }
 
     /// Feed one newly delivered flow into the windowed `parcel.latency_ns`
-    /// series (plus its run-total twin) and the flight-recorder ring.
+    /// series (plus its run-total twin), keyed by delivery instant.
     /// No-op when timelines are off, so plain instrumented runs keep
     /// their exact metric key set.
     fn flow_delivered(&mut self, id: u64, t: SimTime) {
-        if self.timeline.is_none() || id == 0 {
+        let Some(tl) = &mut self.timeline else { return };
+        if id == 0 {
             return;
         }
         let Some(rec) = self.flows.flows().get((id - 1) as usize) else { return };
-        let (src, dst) = (rec.src, rec.dst);
-        let put = rec.at(stage::PUT).unwrap_or(t.as_nanos());
         let deliver = t.as_nanos();
-        self.metrics.hist_record("parcel.latency_ns", deliver.saturating_sub(put));
-        if let Some(tl) = &mut self.timeline {
-            tl.flow_delivered(id, src, dst, put, deliver);
-        }
+        let latency = deliver.saturating_sub(rec.at(stage::PUT).unwrap_or(deliver));
+        self.metrics.hist_record("parcel.latency_ns", latency);
+        tl.hist_at("parcel.latency_ns", latency, deliver);
     }
-
-    /// Take a flight-recorder dump if one is armed and its post-roll has
-    /// elapsed (called after anything that advances the timeline cursor).
-    fn tl_poll(&mut self) {
-        let Some(tl) = &mut self.timeline else { return };
-        if tl.dump_due() {
-            let cap = tl.dump_marks_cap();
-            tl.take_dump(causal_tail(&self.causal, cap));
-        }
-    }
-}
-
-/// The last `cap` causal marks, as flight-recorder dump rows.
-fn causal_tail(log: &CausalLog, cap: usize) -> Vec<timeline::DumpMark> {
-    let marks = log.marks();
-    marks[marks.len().saturating_sub(cap)..]
-        .iter()
-        .map(|m| {
-            let kind = match m.kind {
-                MarkKind::Wait => "wait",
-                MarkKind::Hold => "hold",
-                MarkKind::Work => "work",
-                MarkKind::Wire => "wire",
-            };
-            (m.label, kind, m.start, m.end)
-        })
-        .collect()
 }
 
 impl Telemetry {
@@ -168,7 +138,6 @@ impl Telemetry {
         inner.metrics.counter_add(key, n);
         if let Some(tl) = &mut inner.timeline {
             tl.counter_at(key, n, t.as_nanos());
-            inner.tl_poll();
         }
     }
 
@@ -179,7 +148,6 @@ impl Telemetry {
         inner.metrics.hist_record(key, v);
         if let Some(tl) = &mut inner.timeline {
             tl.hist_at(key, v, t.as_nanos());
-            inner.tl_poll();
         }
     }
 
@@ -194,7 +162,6 @@ impl Telemetry {
         inner.metrics.track_sample(name, t.as_nanos(), v);
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
-            inner.tl_poll();
         }
     }
 
@@ -232,7 +199,6 @@ impl Telemetry {
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
-            inner.tl_poll();
         }
     }
 
@@ -312,7 +278,6 @@ impl Telemetry {
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(end.as_nanos());
-            inner.tl_poll();
         }
     }
 
@@ -367,9 +332,8 @@ impl Telemetry {
         v
     }
 
-    /// The combined Chrome-trace JSON: core slices, SLO alert markers,
-    /// parcel flows, and recorded plus windowed counter tracks. Closes
-    /// the timeline first ([`Telemetry::timeline_finalize`]).
+    /// The combined Chrome-trace JSON: core slices, parcel flows, and
+    /// recorded plus windowed counter tracks.
     pub fn chrome_trace_collected(&self) -> String {
         self.render_chrome(None)
     }
@@ -382,7 +346,6 @@ impl Telemetry {
     }
 
     fn render_chrome(&self, cp: Option<&CritPath>) -> String {
-        self.timeline_finalize();
         let inner = self.inner.borrow();
         chrome::chrome_trace(
             inner.profile.slices(),
@@ -421,68 +384,13 @@ impl Telemetry {
         self.inner.borrow().timeline.as_ref().map(f)
     }
 
-    /// Add an SLO rule mid-run (e.g. an objective derived from a baseline
-    /// phase of the same run); no-op when timelines are off.
-    pub fn timeline_add_rule(&self, rule: SloRule) {
-        if let Some(tl) = &mut self.inner.borrow_mut().timeline {
-            tl.add_rule(rule);
-        }
-    }
-
     /// Record one egress-port access into the per-port windows; no-op
     /// when timelines are off.
     pub fn timeline_port(&self, name: &'static str, t: SimTime, wait_ns: u64, bytes: u64) {
         let inner = &mut *self.inner.borrow_mut();
         if let Some(tl) = &mut inner.timeline {
             tl.port_at(name, t.as_nanos(), wait_ns, bytes);
-            inner.tl_poll();
         }
-    }
-
-    /// Record an injected fault at instant `t`, arming the flight
-    /// recorder; no-op when timelines are off.
-    pub fn fault_event_at(&self, label: &'static str, t: SimTime) {
-        let inner = &mut *self.inner.borrow_mut();
-        if let Some(tl) = &mut inner.timeline {
-            tl.fault_event(label, t.as_nanos());
-            inner.tl_poll();
-        }
-    }
-
-    /// [`Telemetry::fault_event_at`] at the timeline's current cursor,
-    /// for fault sites with no virtual clock in hand.
-    pub fn fault_event(&self, label: &'static str) {
-        let inner = &mut *self.inner.borrow_mut();
-        if let Some(tl) = &mut inner.timeline {
-            let t = tl.cursor_ns();
-            tl.fault_event(label, t);
-            inner.tl_poll();
-        }
-    }
-
-    /// Close out the timeline at end of run: evaluate the remaining
-    /// windows and take any still-armed flight-recorder dump. It writes
-    /// nothing anywhere else — the Chrome export renders alerts and
-    /// windowed series from the timeline itself. Idempotent; no-op when
-    /// timelines are off.
-    pub fn timeline_finalize(&self) {
-        let inner = &mut *self.inner.borrow_mut();
-        let Some(tl) = &mut inner.timeline else { return };
-        if tl.finalized() {
-            return;
-        }
-        tl.finalize();
-        inner.tl_poll();
-    }
-
-    /// The deterministic SLO alert list (empty when timelines are off).
-    pub fn timeline_alerts(&self) -> Vec<SloAlert> {
-        self.with_timeline(|tl| tl.alerts().to_vec()).unwrap_or_default()
-    }
-
-    /// Flight-recorder dumps taken so far (empty when timelines are off).
-    pub fn timeline_dumps(&self) -> Vec<FlightDump> {
-        self.with_timeline(|tl| tl.dumps().to_vec()).unwrap_or_default()
     }
 
     /// The machine-readable timeline document for `config` (see
@@ -490,7 +398,6 @@ impl Telemetry {
     /// critical-path slices filled in from the profiler and causal log.
     /// `None` when timelines are off.
     pub fn timeline_json(&self, config: &str) -> Option<String> {
-        self.timeline_finalize();
         let cp = self.critpath(config);
         let inner = self.inner.borrow();
         let tl = inner.timeline.as_ref()?;
@@ -504,7 +411,6 @@ impl Telemetry {
     /// The OpenMetrics-style text exposition for `config`; `None` when
     /// timelines are off.
     pub fn timeline_text(&self, config: &str) -> Option<String> {
-        self.timeline_finalize();
         self.with_timeline(|tl| tl.to_openmetrics(config))
     }
 }
@@ -531,12 +437,7 @@ impl Recorder for Telemetry {
             inner.profile.record_overlay_here(core, CoreState::LockWait, name, now, start);
         }
         if let Some(tl) = &mut inner.timeline {
-            if contended {
-                tl.probe_event(name, "lock", now, wait_ns, hold_ns);
-            } else {
-                tl.observe(now);
-            }
-            inner.tl_poll();
+            tl.observe(now);
         }
         inner.causal.mark(name, MarkKind::Wait, now, start, 0);
         inner.causal.mark(name, MarkKind::Hold, start, start + hold_ns, 0);
@@ -577,12 +478,7 @@ impl Recorder for Telemetry {
             inner.profile.record_overlay_here(core, CoreState::LockWait, name, now, start);
         }
         if let Some(tl) = &mut inner.timeline {
-            if wait_ns > 0 {
-                tl.probe_event(name, "resource", now, wait_ns, service_ns);
-            } else {
-                tl.observe(now);
-            }
-            inner.tl_poll();
+            tl.observe(now);
         }
         inner.causal.mark(name, MarkKind::Wait, now, start, 0);
         inner.causal.mark(name, MarkKind::Work, start, start + service_ns, 0);
@@ -615,8 +511,7 @@ pub fn enable() -> Rc<Telemetry> {
 }
 
 /// [`enable`], plus a windowed timeline under `cfg`: per-window
-/// histograms/counters/port accounting, SLO monitors, and the flight
-/// recorder. The timeline is pure observation like everything else —
+/// histograms, counters and port accounting. The timeline is pure observation like everything else —
 /// enabled runs reproduce the exact event streams of disabled runs.
 pub fn enable_with(cfg: TimelineConfig) -> Rc<Telemetry> {
     let t = enable();
@@ -704,20 +599,6 @@ pub fn counter_add_at(key: &'static str, n: u64, t: SimTime) {
 #[inline]
 pub fn hist_record_at(key: &'static str, v: u64, t: SimTime) {
     with(|tel| tel.hist_record_at(key, v, t));
-}
-
-/// Record an injected fault at instant `t` (arms the flight recorder);
-/// no-op when disabled or when timelines are off.
-#[inline]
-pub fn fault_event_at(label: &'static str, t: SimTime) {
-    with(|tel| tel.fault_event_at(label, t));
-}
-
-/// [`fault_event_at`] at the timeline cursor, for fault sites with no
-/// virtual clock in hand.
-#[inline]
-pub fn fault_event(label: &'static str) {
-    with(|tel| tel.fault_event(label));
 }
 
 /// Append a counter-track sample on the active collector.

@@ -182,11 +182,8 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// Capture a record from a finished instrumented run. Read-only on
-    /// the collector (it closes the timeline, which is idempotent, happens
-    /// after the simulated run ends and changes no other store); `meta`
-    /// comes from the harness.
+    /// the collector; `meta` comes from the harness.
     pub fn capture(tel: &Telemetry, meta: RunMeta) -> RunRecord {
-        tel.timeline_finalize();
         let mut rec = RunRecord { version: SCHEMA_VERSION, meta, ..RunRecord::default() };
 
         rec.critpath = tel.critpath(&rec.meta.config).map(|cp| CritSummary {

@@ -1,5 +1,4 @@
-//! Windowed telemetry timelines, SLO monitors, and the fault flight
-//! recorder.
+//! Windowed telemetry timelines.
 //!
 //! Every report the collector produces elsewhere is an end-of-run
 //! aggregate; this module slices the same instrumentation by fixed-width
@@ -12,35 +11,29 @@
 //!   that merging all per-window sub-histograms reproduces the run-total
 //!   histogram *bucket-identically* (same counts, sum, min, max, and
 //!   therefore identical quantiles) — asserted by
-//!   `tests/timeline_props.rs` and the integration tests;
+//!   `crates/telemetry/tests/timeline_props.rs` and the integration tests;
 //! * **windowed counters** — per-window deltas whose sum equals the
 //!   run-total counter;
 //! * **per-port windows** — `fab.*` egress-port wait/packets/bytes per
 //!   window, fed by the switch fabric's port accesses;
-//! * **SLO monitors** ([`SloRule`]) — latency-objective burn-rate rules
-//!   evaluated per window as the run advances, emitting deterministic
-//!   [`SloAlert`] events. The Chrome export renders them at export time
-//!   as zero-duration markers on `slo/<rule>` tracks, next to the
-//!   windowed series of [`Timeline::counter_tracks`]; the timeline
-//!   itself is never copied into another store;
-//! * the **flight recorder** — a bounded ring of recent flow / probe /
-//!   fault records. The first SLO alert or injected fault *arms* it; a
-//!   short post-roll later (so the consequences — rerouted parcels, retry
-//!   traffic — are on tape too) the ring plus the tail of the causal
-//!   mark log is snapshotted into a self-contained Chrome-trace
-//!   [`FlightDump`].
+//! * **occupancy and critical-path slices** — per-window core-state time
+//!   ([`slice_occupancy`]) and on-path component time
+//!   ([`critpath_slices`]), cut at export from the profiler and the
+//!   causal log, each summing to its run total.
 //!
-//! Evaluation is **online**: the timeline keeps a monotone time cursor
-//! (the high-water mark of every timed record it sees — flow marks,
-//! counter-track samples, profiler intervals, probe events). A window is
-//! evaluated once the cursor has moved one full window past its end;
-//! samples that land in an already-evaluated window still count in the
-//! windowed series (the merge==total invariant is unconditional) and are
-//! tallied in `late_samples`. Everything here is pure observation: fed
-//! only from existing instrumentation points, it never schedules events
-//! or charges virtual time, so golden traces are unchanged.
+//! The timeline keeps a monotone time cursor: the high-water mark of
+//! every timed record it sees (flow marks, counter-track samples,
+//! profiler intervals, contention events). The cursor only sets the
+//! covered horizon `[0, cursor]`; samples are attributed to their own
+//! window whenever they arrive, so out-of-order instrumentation never
+//! breaks the merge == total invariant. The Chrome export renders the
+//! windowed series at export time ([`Timeline::counter_tracks`]); the
+//! timeline itself is never copied into another store. Everything here
+//! is pure observation: fed only from existing instrumentation points,
+//! it never schedules events or charges virtual time, so golden traces
+//! are unchanged.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::critpath::CritPath;
@@ -52,222 +45,16 @@ use crate::profile::{CoreAccount, CoreState, N_STATES, STATES};
 /// Default window width: 100 µs of virtual time.
 pub const DEFAULT_WINDOW_NS: u64 = 100_000;
 
-/// Timeline configuration: window width, SLO rules, recorder sizing.
+/// Timeline configuration.
 #[derive(Debug, Clone)]
 pub struct TimelineConfig {
     /// Window width in virtual ns (must be > 0).
     pub window_ns: u64,
-    /// SLO burn-rate rules evaluated per window.
-    pub slos: Vec<SloRule>,
-    /// Flight-recorder ring capacity (records retained).
-    pub recorder_cap: usize,
-    /// Windows of post-roll between a trigger and its dump, so the
-    /// consequences of the triggering event are on tape.
-    pub post_roll_windows: u64,
-    /// Maximum flight-recorder dumps per run.
-    pub max_dumps: usize,
-    /// Causal marks copied from the tail of the provenance log into each
-    /// dump.
-    pub dump_marks: usize,
 }
 
 impl Default for TimelineConfig {
     fn default() -> Self {
-        TimelineConfig {
-            window_ns: DEFAULT_WINDOW_NS,
-            slos: Vec::new(),
-            recorder_cap: 4096,
-            post_roll_windows: 8,
-            max_dumps: 4,
-            dump_marks: 256,
-        }
-    }
-}
-
-/// One latency-objective burn-rate rule.
-///
-/// Per window: `bad` = samples of `hist` above `objective_ns`; the burn
-/// rate is `(bad/total) / (1 - target)` — how many times faster than
-/// budget the window consumes its error allowance. The rule fires when
-/// the window holds at least `min_samples` samples and the burn rate
-/// reaches `burn_threshold`.
-#[derive(Debug, Clone)]
-pub struct SloRule {
-    /// Rule name (alert/track label).
-    pub name: String,
-    /// Windowed histogram key the rule watches (e.g. `parcel.latency_ns`).
-    pub hist: String,
-    /// Latency objective in ns: samples above it are "bad".
-    pub objective_ns: u64,
-    /// SLO target fraction (e.g. 0.99 ⇒ 1% error budget).
-    pub target: f64,
-    /// Burn-rate threshold at which the rule fires (1.0 = exactly on
-    /// budget).
-    pub burn_threshold: f64,
-    /// Minimum samples in a window before the rule is evaluated.
-    pub min_samples: u64,
-}
-
-impl SloRule {
-    /// Per-window error budget fraction.
-    fn budget(&self) -> f64 {
-        (1.0 - self.target).max(1e-9)
-    }
-}
-
-/// One deterministic SLO alert: rule × window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloAlert {
-    /// Which rule fired.
-    pub rule: String,
-    /// Window index it fired in.
-    pub window: u64,
-    /// Window end instant, ns.
-    pub end_ns: u64,
-    /// Burn rate observed in the window.
-    pub burn: f64,
-    /// Samples above the objective.
-    pub bad: u64,
-    /// Total samples in the window.
-    pub total: u64,
-}
-
-/// One record on the flight-recorder ring.
-#[derive(Debug, Clone)]
-pub enum FlightRec {
-    /// A delivered parcel flow.
-    Flow {
-        /// Flow id.
-        id: u64,
-        /// Source locality.
-        src: usize,
-        /// Destination locality.
-        dst: usize,
-        /// PUT instant, ns.
-        put_ns: u64,
-        /// DELIVER instant, ns.
-        deliver_ns: u64,
-    },
-    /// A contention-probe event (lock wait / resource queueing).
-    Probe {
-        /// Resource name.
-        name: &'static str,
-        /// Probe kind label (`lock` / `trylock` / `resource`).
-        kind: &'static str,
-        /// Event instant, ns.
-        t_ns: u64,
-        /// Wait portion, ns.
-        wait_ns: u64,
-        /// Service/hold portion, ns.
-        service_ns: u64,
-    },
-    /// An injected-fault event (link failure, retransmit, duplicate).
-    Fault {
-        /// Fault label (e.g. `link_down`, `net.retransmit`).
-        label: &'static str,
-        /// Event instant, ns.
-        t_ns: u64,
-    },
-    /// An SLO alert (also listed in [`Timeline::alerts`]).
-    Alert {
-        /// Rule name.
-        rule: String,
-        /// Window index.
-        window: u64,
-        /// Window end, ns.
-        t_ns: u64,
-    },
-}
-
-impl FlightRec {
-    /// The record's primary instant, ns (delivery time for flows).
-    pub fn t_ns(&self) -> u64 {
-        match self {
-            FlightRec::Flow { deliver_ns, .. } => *deliver_ns,
-            FlightRec::Probe { t_ns, .. }
-            | FlightRec::Fault { t_ns, .. }
-            | FlightRec::Alert { t_ns, .. } => *t_ns,
-        }
-    }
-}
-
-/// One causal mark copied into a dump: `(label, kind, start_ns, end_ns)`.
-pub type DumpMark = (&'static str, &'static str, u64, u64);
-
-/// A flight-recorder snapshot: the ring at `trigger + post_roll`.
-#[derive(Debug, Clone)]
-pub struct FlightDump {
-    /// Why the recorder was armed (`slo:<rule>` or `fault:<label>`).
-    pub reason: String,
-    /// Trigger instant, ns.
-    pub trigger_ns: u64,
-    /// Window the trigger fell in.
-    pub window: u64,
-    /// Snapshot instant, ns (trigger + post-roll, or run end).
-    pub taken_ns: u64,
-    /// Ring contents, oldest first.
-    pub records: Vec<FlightRec>,
-    /// Tail of the causal mark log at snapshot time.
-    pub marks: Vec<DumpMark>,
-}
-
-impl FlightDump {
-    /// Render the dump as a self-contained Chrome-trace JSON document:
-    /// the trigger as a zero-duration span, flows/probes/marks as
-    /// complete spans on `flight.*` tracks — loadable standalone in
-    /// Perfetto and valid under `trace_check`'s structural rules.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        let push = |out: &mut String, name: &str, tid: &str, ts: u64, dur: u64| {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":\"{}\"}}",
-                escape_json(name),
-                ts as f64 / 1e3,
-                dur as f64 / 1e3,
-                escape_json(tid)
-            )
-            .expect("write to string");
-        };
-        push(&mut out, &format!("TRIGGER {}", self.reason), "flight.trigger", self.trigger_ns, 0);
-        for r in &self.records {
-            match r {
-                FlightRec::Flow { id, src, dst, put_ns, deliver_ns } => push(
-                    &mut out,
-                    &format!("parcel#{id} {src}->{dst}"),
-                    "flight.flows",
-                    *put_ns,
-                    deliver_ns.saturating_sub(*put_ns),
-                ),
-                FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns } => push(
-                    &mut out,
-                    &format!("{name} ({kind})"),
-                    "flight.probes",
-                    *t_ns,
-                    wait_ns + service_ns,
-                ),
-                FlightRec::Fault { label, t_ns } => {
-                    push(&mut out, &format!("FAULT {label}"), "flight.faults", *t_ns, 0)
-                }
-                FlightRec::Alert { rule, window, t_ns } => {
-                    push(&mut out, &format!("ALERT {rule} w{window}"), "flight.alerts", *t_ns, 0)
-                }
-            }
-        }
-        for &(label, kind, start, end) in &self.marks {
-            push(
-                &mut out,
-                &format!("{label} [{kind}]"),
-                "flight.causal",
-                start,
-                end.saturating_sub(start),
-            );
-        }
-        out.push(']');
-        out
+        TimelineConfig { window_ns: DEFAULT_WINDOW_NS }
     }
 }
 
@@ -282,21 +69,13 @@ pub struct PortWindow {
     pub bytes: u64,
 }
 
-/// Pending dump state: armed, waiting for the post-roll to elapse.
-#[derive(Debug, Clone)]
-struct ArmedDump {
-    reason: String,
-    trigger_ns: u64,
-    window: u64,
-    dump_at_ns: u64,
-}
-
 /// The windowed time-series layer. Owned by the active `Telemetry`
 /// collector when timelines are enabled; fed from the same
 /// instrumentation points as the aggregate registries.
 #[derive(Debug)]
 pub struct Timeline {
-    cfg: TimelineConfig,
+    /// Window width, ns.
+    window_ns: u64,
     /// High-water mark of every timed record observed, ns.
     cursor_ns: u64,
     /// Per-key windowed sub-histograms (sparse; empty windows implied).
@@ -305,18 +84,6 @@ pub struct Timeline {
     counters: BTreeMap<&'static str, BTreeMap<u64, u64>>,
     /// Per-port per-window accounting (keyed by interned port name).
     ports: BTreeMap<&'static str, BTreeMap<u64, PortWindow>>,
-    /// Next window index awaiting SLO evaluation.
-    eval_cursor: u64,
-    /// Samples that landed in an already-evaluated window.
-    late_samples: u64,
-    /// (rule index, window) pairs that already fired — late samples
-    /// re-evaluate their window, so each pair must alert at most once.
-    alerted: BTreeSet<(usize, u64)>,
-    alerts: Vec<SloAlert>,
-    ring: VecDeque<FlightRec>,
-    armed: Option<ArmedDump>,
-    dumps: Vec<FlightDump>,
-    finalized: bool,
 }
 
 impl Timeline {
@@ -324,36 +91,23 @@ impl Timeline {
     pub fn new(cfg: TimelineConfig) -> Timeline {
         assert!(cfg.window_ns > 0, "window width must be positive");
         Timeline {
-            cfg,
+            window_ns: cfg.window_ns,
             cursor_ns: 0,
             hists: BTreeMap::new(),
             counters: BTreeMap::new(),
             ports: BTreeMap::new(),
-            eval_cursor: 0,
-            late_samples: 0,
-            alerted: BTreeSet::new(),
-            alerts: Vec::new(),
-            ring: VecDeque::new(),
-            armed: None,
-            dumps: Vec::new(),
-            finalized: false,
         }
     }
 
     /// Window width in ns.
     pub fn window_ns(&self) -> u64 {
-        self.cfg.window_ns
-    }
-
-    /// Causal marks to copy into each flight-recorder dump.
-    pub fn dump_marks_cap(&self) -> usize {
-        self.cfg.dump_marks
+        self.window_ns
     }
 
     /// The window index instant `t_ns` falls in (boundary instants start
     /// the next window: `t == k·W` lands in window `k`).
     pub fn window_of(&self, t_ns: u64) -> u64 {
-        t_ns / self.cfg.window_ns
+        t_ns / self.window_ns
     }
 
     /// Current time cursor (high-water mark of observed instants), ns.
@@ -366,52 +120,23 @@ impl Timeline {
         self.window_of(self.cursor_ns) + 1
     }
 
-    /// Add an SLO rule mid-run (monitors are hot-pluggable; the rule only
-    /// sees windows evaluated after it was added).
-    pub fn add_rule(&mut self, rule: SloRule) {
-        self.cfg.slos.push(rule);
-    }
-
-    /// Advance the time cursor and evaluate any windows that closed. A
-    /// window is evaluated once the cursor clears the *following* window
-    /// (one window of slack for out-of-order instrumentation).
+    /// Advance the time cursor to `t_ns` if it lies beyond it.
     pub fn observe(&mut self, t_ns: u64) {
-        if t_ns > self.cursor_ns {
-            self.cursor_ns = t_ns;
-            let settled = self.window_of(self.cursor_ns).saturating_sub(1);
-            while self.eval_cursor < settled {
-                let w = self.eval_cursor;
-                self.evaluate_window(w);
-                self.eval_cursor += 1;
-            }
-        }
+        self.cursor_ns = self.cursor_ns.max(t_ns);
     }
 
-    /// Record `v` into windowed histogram `key` at instant `t_ns`. A
-    /// sample landing in an already-settled window (deliveries are timed
-    /// analytically, so interleaved flows arrive out of order by more
-    /// than the one-window slack under congestion) re-evaluates that
-    /// window's rules — an alert always names the true breach window,
-    /// however late its evidence arrived.
+    /// Record `v` into windowed histogram `key` at instant `t_ns`.
+    /// Deliveries are timed analytically, so under congestion samples
+    /// arrive out of order; each still lands in its own window.
     pub fn hist_at(&mut self, key: &'static str, v: u64, t_ns: u64) {
-        let w = t_ns / self.cfg.window_ns;
-        let late = w < self.eval_cursor;
-        if late {
-            self.late_samples += 1;
-        }
+        let w = t_ns / self.window_ns;
         self.hists.entry(key).or_default().entry(w).or_default().record(v);
-        if late {
-            self.evaluate_window(w);
-        }
         self.observe(t_ns);
     }
 
     /// Add `n` to windowed counter `key` at instant `t_ns`.
     pub fn counter_at(&mut self, key: &'static str, n: u64, t_ns: u64) {
-        let w = t_ns / self.cfg.window_ns;
-        if w < self.eval_cursor {
-            self.late_samples += 1;
-        }
+        let w = t_ns / self.window_ns;
         *self.counters.entry(key).or_default().entry(w).or_default() += n;
         self.observe(t_ns);
     }
@@ -419,177 +144,14 @@ impl Timeline {
     /// Record one egress-port access at instant `t_ns`. Port grants are
     /// scheduled analytically at injection time, so `t_ns` routinely lies
     /// in the future — the access is attributed to its window but does
-    /// NOT advance the cursor, else congested runs would settle (and
-    /// SLO-evaluate) windows whose delivery samples are still in flight.
+    /// NOT advance the cursor: the horizon ends at the last instant the
+    /// run actually reached.
     pub fn port_at(&mut self, name: &'static str, t_ns: u64, wait_ns: u64, bytes: u64) {
-        let w = t_ns / self.cfg.window_ns;
+        let w = t_ns / self.window_ns;
         let pw = self.ports.entry(name).or_default().entry(w).or_default();
         pw.wait_ns += wait_ns;
         pw.pkts += 1;
         pw.bytes += bytes;
-    }
-
-    /// Record a delivered flow on the ring (and the `parcel.latency_ns`
-    /// windowed histogram, keyed by delivery instant).
-    pub fn flow_delivered(
-        &mut self,
-        id: u64,
-        src: usize,
-        dst: usize,
-        put_ns: u64,
-        deliver_ns: u64,
-    ) {
-        self.hist_at("parcel.latency_ns", deliver_ns.saturating_sub(put_ns), deliver_ns);
-        self.push_rec(FlightRec::Flow { id, src, dst, put_ns, deliver_ns });
-    }
-
-    /// Record a contention-probe event on the ring.
-    pub fn probe_event(
-        &mut self,
-        name: &'static str,
-        kind: &'static str,
-        t_ns: u64,
-        wait_ns: u64,
-        service_ns: u64,
-    ) {
-        self.push_rec(FlightRec::Probe { name, kind, t_ns, wait_ns, service_ns });
-        // Observe the probe's *start* instant only: the wait/service span
-        // extends into the future, and advancing the cursor past `t_ns`
-        // would settle windows whose samples have not arrived yet.
-        self.observe(t_ns);
-    }
-
-    /// Record an injected fault at `t_ns` (pass the cursor when the fault
-    /// site has no virtual clock in hand) and arm the flight recorder.
-    pub fn fault_event(&mut self, label: &'static str, t_ns: u64) {
-        self.push_rec(FlightRec::Fault { label, t_ns });
-        self.observe(t_ns);
-        self.arm(format!("fault:{label}"), t_ns);
-    }
-
-    fn push_rec(&mut self, rec: FlightRec) {
-        self.ring.push_back(rec);
-        while self.ring.len() > self.cfg.recorder_cap {
-            self.ring.pop_front();
-        }
-    }
-
-    /// Evaluate the SLO rules over one closed window.
-    fn evaluate_window(&mut self, w: u64) {
-        if self.cfg.slos.is_empty() {
-            return;
-        }
-        let end_ns = (w + 1) * self.cfg.window_ns;
-        let mut fired: Vec<(usize, SloAlert)> = Vec::new();
-        for (i, rule) in self.cfg.slos.iter().enumerate() {
-            if self.alerted.contains(&(i, w)) {
-                continue;
-            }
-            let Some(h) = self.hists.get(rule.hist.as_str()).and_then(|ws| ws.get(&w)) else {
-                continue;
-            };
-            let total = h.count();
-            if total < rule.min_samples.max(1) {
-                continue;
-            }
-            // Bad fraction via the histogram's own buckets: count samples
-            // strictly above the objective. Quantile inversion would lose
-            // the sub-bucket resolution; a direct scan keeps it exact at
-            // bucket granularity.
-            let bad = total - h.count_at_most(rule.objective_ns);
-            let burn = (bad as f64 / total as f64) / rule.budget();
-            if burn >= rule.burn_threshold {
-                fired.push((
-                    i,
-                    SloAlert { rule: rule.name.clone(), window: w, end_ns, burn, bad, total },
-                ));
-            }
-        }
-        for (i, a) in fired {
-            self.alerted.insert((i, w));
-            self.push_rec(FlightRec::Alert {
-                rule: a.rule.clone(),
-                window: a.window,
-                t_ns: a.end_ns,
-            });
-            self.arm(format!("slo:{}", a.rule), a.end_ns);
-            self.alerts.push(a);
-        }
-    }
-
-    /// Arm the recorder: first trigger wins until its dump is taken.
-    fn arm(&mut self, reason: String, t_ns: u64) {
-        if self.armed.is_none() && self.dumps.len() < self.cfg.max_dumps {
-            self.armed = Some(ArmedDump {
-                reason,
-                trigger_ns: t_ns,
-                window: self.window_of(t_ns),
-                dump_at_ns: t_ns + self.cfg.post_roll_windows * self.cfg.window_ns,
-            });
-        }
-    }
-
-    /// Whether an armed dump's post-roll has elapsed.
-    pub fn dump_due(&self) -> bool {
-        self.armed.as_ref().is_some_and(|a| self.cursor_ns >= a.dump_at_ns)
-    }
-
-    /// Snapshot the ring into a dump (the caller supplies the causal-mark
-    /// tail — the provenance log lives outside the timeline).
-    pub fn take_dump(&mut self, marks: Vec<DumpMark>) {
-        let Some(armed) = self.armed.take() else { return };
-        self.dumps.push(FlightDump {
-            reason: armed.reason,
-            trigger_ns: armed.trigger_ns,
-            window: armed.window,
-            taken_ns: self.cursor_ns,
-            records: self.ring.iter().cloned().collect(),
-            marks,
-        });
-    }
-
-    /// Close out the run: evaluate every remaining window. An armed dump
-    /// whose post-roll never elapsed is taken by the caller (which holds
-    /// the causal log) via [`Timeline::dump_due`]/[`Timeline::take_dump`]
-    /// — `finalize` forces `dump_due` to report true.
-    pub fn finalize(&mut self) {
-        if self.finalized {
-            return;
-        }
-        let last = self.window_of(self.cursor_ns);
-        while self.eval_cursor <= last {
-            let w = self.eval_cursor;
-            self.evaluate_window(w);
-            self.eval_cursor += 1;
-        }
-        // Late samples re-evaluate settled windows, so alerts can be
-        // pushed out of window order; reporting order is by window.
-        self.alerts.sort_by(|a, b| (a.window, &a.rule).cmp(&(b.window, &b.rule)));
-        if let Some(a) = &mut self.armed {
-            a.dump_at_ns = a.dump_at_ns.min(self.cursor_ns);
-        }
-        self.finalized = true;
-    }
-
-    /// Whether [`Timeline::finalize`] ran.
-    pub fn finalized(&self) -> bool {
-        self.finalized
-    }
-
-    /// The deterministic alert list — evaluation order while the run is
-    /// live, window order once finalized.
-    pub fn alerts(&self) -> &[SloAlert] {
-        &self.alerts
-    }
-
-    /// Flight-recorder dumps taken so far.
-    pub fn dumps(&self) -> &[FlightDump] {
-        &self.dumps
-    }
-
-    /// Samples that landed in already-evaluated windows.
-    pub fn late_samples(&self) -> u64 {
-        self.late_samples
     }
 
     /// The sub-histogram of `key` in window `w`, if any sample landed.
@@ -645,11 +207,11 @@ impl Timeline {
 
     /// Counter-track series for the Perfetto export: per-window rates for
     /// every windowed counter (`tl.<key>.per_window`), per-window p99 for
-    /// every windowed histogram (`tl.<key>.p99_us`), per-window wait for
-    /// every port (`tl.<port>.wait_us`), and the burn rate of every SLO
-    /// rule (`slo.<rule>.burn`). Samples sit at window start instants.
+    /// every windowed histogram (`tl.<key>.p99_us`), and per-window wait
+    /// for every port (`tl.<port>.wait_us`). Samples sit at window start
+    /// instants.
     pub fn counter_tracks(&self) -> Vec<(String, Vec<(u64, f64)>)> {
-        let w_ns = self.cfg.window_ns;
+        let w_ns = self.window_ns;
         let nwin = self.num_windows();
         let mut out = Vec::new();
         for (key, ws) in &self.counters {
@@ -668,23 +230,6 @@ impl Timeline {
                 .collect();
             out.push((format!("tl.{name}.wait_us"), series));
         }
-        for rule in &self.cfg.slos {
-            let Some(ws) = self.hists.get(rule.hist.as_str()) else { continue };
-            let series = (0..nwin)
-                .map(|w| {
-                    let burn = ws
-                        .get(&w)
-                        .filter(|h| h.count() >= rule.min_samples.max(1))
-                        .map(|h| {
-                            let bad = h.count() - h.count_at_most(rule.objective_ns);
-                            (bad as f64 / h.count() as f64) / rule.budget()
-                        })
-                        .unwrap_or(0.0);
-                    (w * w_ns, burn)
-                })
-                .collect();
-            out.push((format!("slo.{}.burn", rule.name), series));
-        }
         out
     }
 
@@ -692,8 +237,8 @@ impl Timeline {
     /// --require-timeline` for the invariants it carries): gap-free
     /// window array (empty windows explicit), per-window counters /
     /// histogram summaries / port windows / optional state occupancy and
-    /// critical-path slices, run totals from the aggregate registry for
-    /// the merge==total cross-check, alerts, and dump manifests.
+    /// critical-path slices, and run totals from the aggregate registry
+    /// for the merge==total cross-check.
     pub fn to_json(
         &self,
         config: &str,
@@ -701,7 +246,7 @@ impl Timeline {
         occupancy: Option<&WindowOccupancy>,
         crit: Option<&[BTreeMap<String, u64>]>,
     ) -> String {
-        let w_ns = self.cfg.window_ns;
+        let w_ns = self.window_ns;
         let nwin = self.num_windows();
         let mut windows = Vec::with_capacity(nwin as usize);
         for w in 0..nwin {
@@ -778,38 +323,6 @@ impl Timeline {
                 totals.hist(k).map(|h| format!("\"{}\":{}", escape_json(k), hist_summary_json(h)))
             })
             .collect();
-        let alerts: Vec<String> = self
-            .alerts
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"rule\":\"{}\",\"window\":{},\"end_ns\":{},\"burn\":{:.4},\
-                     \"bad\":{},\"total\":{}}}",
-                    escape_json(&a.rule),
-                    a.window,
-                    a.end_ns,
-                    a.burn,
-                    a.bad,
-                    a.total
-                )
-            })
-            .collect();
-        let dumps: Vec<String> = self
-            .dumps
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"reason\":\"{}\",\"trigger_ns\":{},\"window\":{},\"taken_ns\":{},\
-                     \"records\":{},\"marks\":{}}}",
-                    escape_json(&d.reason),
-                    d.trigger_ns,
-                    d.window,
-                    d.taken_ns,
-                    d.records.len(),
-                    d.marks.len()
-                )
-            })
-            .collect();
         let occupancy_totals = occupancy
             .map(|occ| {
                 let body: Vec<String> = STATES
@@ -822,31 +335,26 @@ impl Timeline {
             .unwrap_or_default();
         format!(
             "{{\"timeline\":{{\"config\":\"{}\",\"window_ns\":{w_ns},\"horizon_ns\":{},\
-             \"late_samples\":{},\"windows\":[{}],\
-             \"totals\":{{\"counters\":{{{}}},\"hists\":{{{}}}}}{}\
-             ,\"alerts\":[{}],\"dumps\":[{}]}}}}",
+             \"windows\":[{}],\
+             \"totals\":{{\"counters\":{{{}}},\"hists\":{{{}}}}}{}}}}}",
             escape_json(config),
             self.cursor_ns,
-            self.late_samples,
             windows.join(","),
             tot_counters.join(","),
             tot_hists.join(","),
-            occupancy_totals,
-            alerts.join(","),
-            dumps.join(",")
+            occupancy_totals
         )
     }
 
     /// OpenMetrics-style text exposition of the windowed series: every
     /// counter as `<name>_total{window="w"}`, every histogram as a
     /// summary (quantile gauges + `_count`/`_sum`), port wait as a
-    /// counter, alerts as an info-style gauge. Names are sanitized to the
-    /// OpenMetrics charset; virtual-time window labels replace wall-clock
-    /// scrape timestamps.
+    /// counter. Names are sanitized to the OpenMetrics charset;
+    /// virtual-time window labels replace wall-clock scrape timestamps.
     pub fn to_openmetrics(&self, config: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Timeline exposition for {config}");
-        let _ = writeln!(out, "# TYPE tl_window_ns gauge\ntl_window_ns {}", self.cfg.window_ns);
+        let _ = writeln!(out, "# TYPE tl_window_ns gauge\ntl_window_ns {}", self.window_ns);
         let _ = writeln!(out, "# TYPE tl_windows gauge\ntl_windows {}", self.num_windows());
         for (key, ws) in &self.counters {
             let name = sanitize_metric(key);
@@ -871,16 +379,6 @@ impl Timeline {
             let _ = writeln!(out, "# TYPE {name} counter");
             for (w, p) in ws {
                 let _ = writeln!(out, "{name}_total{{window=\"{w}\"}} {}", p.wait_ns);
-            }
-        }
-        if !self.alerts.is_empty() {
-            let _ = writeln!(out, "# TYPE slo_alert gauge");
-            for a in &self.alerts {
-                let _ = writeln!(
-                    out,
-                    "slo_alert{{rule=\"{}\",window=\"{}\"}} {:.4}",
-                    a.rule, a.window, a.burn
-                );
             }
         }
         out
@@ -983,8 +481,8 @@ pub fn critpath_slices(cp: &CritPath, window_ns: u64, nwin: u64) -> Vec<BTreeMap
 mod tests {
     use super::*;
 
-    fn cfg(w: u64) -> TimelineConfig {
-        TimelineConfig { window_ns: w, ..TimelineConfig::default() }
+    fn cfg(window_ns: u64) -> TimelineConfig {
+        TimelineConfig { window_ns }
     }
 
     #[test]
@@ -1016,82 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn slo_alert_fires_deterministically_and_arms_recorder() {
-        let mut tl = Timeline::new(TimelineConfig {
-            window_ns: 100,
-            slos: vec![SloRule {
-                name: "lat-p99".into(),
-                hist: "lat".into(),
-                objective_ns: 50,
-                target: 0.99,
-                burn_threshold: 1.0,
-                min_samples: 1,
-            }],
-            post_roll_windows: 2,
-            ..TimelineConfig::default()
-        });
-        // Window 0: all good. Window 1: one sample blows the objective.
-        tl.hist_at("lat", 10, 5);
-        tl.hist_at("lat", 10, 50);
-        tl.hist_at("lat", 500, 150);
-        assert!(tl.alerts().is_empty(), "window 1 not settled yet");
-        tl.observe(399); // settles window 1 (cursor clears window 2)
-        assert_eq!(tl.alerts().len(), 1);
-        let a = &tl.alerts()[0];
-        assert_eq!((a.window, a.bad, a.total), (1, 1, 1));
-        assert!(a.burn >= 1.0);
-        assert!(!tl.dump_due(), "post-roll not elapsed");
-        tl.observe(450);
-        assert!(tl.dump_due(), "dump due after post-roll");
-        tl.take_dump(vec![("net.wire", "wire", 0, 10)]);
-        assert_eq!(tl.dumps().len(), 1);
-        let d = &tl.dumps()[0];
-        assert!(d.reason.starts_with("slo:"));
-        assert!(d.records.iter().any(|r| matches!(r, FlightRec::Alert { .. })));
-        let json = d.to_chrome_json();
-        assert!(json.contains("TRIGGER slo:lat-p99"), "json: {json}");
-        assert!(json.contains("flight.causal"));
-    }
-
-    #[test]
-    fn fault_event_arms_and_finalize_forces_dump() {
-        let mut tl = Timeline::new(cfg(100));
-        tl.hist_at("lat", 10, 50);
-        tl.fault_event("link_down", 120);
-        assert!(!tl.dump_due());
-        tl.finalize();
-        assert!(tl.dump_due(), "finalize clamps the post-roll to the horizon");
-        tl.take_dump(Vec::new());
-        assert_eq!(tl.dumps()[0].reason, "fault:link_down");
-        assert!(tl.dumps()[0].records.iter().any(|r| matches!(r, FlightRec::Fault { .. })));
-    }
-
-    #[test]
-    fn ring_is_bounded() {
-        let mut tl = Timeline::new(TimelineConfig {
-            window_ns: 100,
-            recorder_cap: 4,
-            ..TimelineConfig::default()
-        });
-        for i in 0..10u64 {
-            tl.flow_delivered(i, 0, 1, i * 10, i * 10 + 5);
-        }
-        tl.fault_event("x", 200);
-        tl.finalize();
-        tl.take_dump(Vec::new());
-        assert!(tl.dumps()[0].records.len() <= 4);
-        // Newest records survive.
-        assert!(tl.dumps()[0].records.iter().any(|r| r.t_ns() >= 95));
-    }
-
-    #[test]
     fn json_doc_is_valid_and_gap_free() {
         let mut tl = Timeline::new(cfg(100));
         tl.hist_at("lat", 10, 50);
         tl.counter_at("msgs", 1, 50);
         tl.hist_at("lat", 20, 450);
         tl.port_at("fab.e0.p1", 120, 30, 64);
-        tl.finalize();
         let mut m = Metrics::new();
         m.hist_record("lat", 10);
         m.hist_record("lat", 20);

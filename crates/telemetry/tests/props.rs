@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simcore::SimTime;
 use telemetry::json::Value;
-use telemetry::{json, Histogram, SloRule, TimelineConfig};
+use telemetry::{json, Histogram};
 
 proptest! {
     /// Every quantile of a log-bucketed histogram must stay inside the
@@ -55,42 +55,23 @@ proptest! {
 
     /// The Chrome export must stay parseable JSON for arbitrary track
     /// names (quotes, backslashes, control characters, unicode), and the
-    /// parse must recover each name exactly: a recorded counter track, an
-    /// SLO rule's `slo/<rule>` alert track and its `slo.<rule>.burn`
-    /// series.
+    /// parse must recover each recorded counter track's name exactly.
     #[test]
     fn chrome_export_roundtrips_hostile_track_names(
         chars in proptest::collection::vec(0usize..NASTY.len(), 0..24),
         start in 0u64..1_000_000,
-        latency in 1u64..1_000_000,
     ) {
         let name: String = chars.iter().map(|&i| NASTY[i]).collect();
         let tel = telemetry::Telemetry::new();
-        tel.enable_timeline(TimelineConfig {
-            slos: vec![SloRule {
-                name: name.clone(),
-                hist: "lat".into(),
-                objective_ns: 0,
-                target: 0.99,
-                burn_threshold: 1.0,
-                min_samples: 1,
-            }],
-            ..TimelineConfig::default()
-        });
         tel.track_sample(&name, SimTime::from_nanos(start), 1.0);
-        tel.hist_record_at("lat", latency, SimTime::from_nanos(start));
         let out = tel.chrome_trace_collected();
         let doc = json::parse(&out).expect("chrome export must parse");
         let events = doc.as_arr().expect("array");
-        let has = |ph: &str, field: &str, value: &str| {
-            events.iter().any(|e| {
-                e.get("ph").and_then(Value::as_str) == Some(ph)
-                    && e.get(field).and_then(Value::as_str) == Some(value)
-            })
-        };
-        prop_assert!(has("C", "name", &name), "recorded track {:?} missing", name);
-        prop_assert!(has("X", "tid", &format!("slo/{name}")), "alert track missing");
-        prop_assert!(has("C", "name", &format!("slo.{name}.burn")), "burn series missing");
+        let found = events.iter().any(|e| {
+            e.get("ph").and_then(Value::as_str) == Some("C")
+                && e.get("name").and_then(Value::as_str) == Some(name.as_str())
+        });
+        prop_assert!(found, "recorded track {:?} missing", name);
     }
 }
 

@@ -128,25 +128,14 @@ fn telemetry_enabled_is_pure_observation() {
 }
 
 /// The windowed timeline rides on the same hooks as plain telemetry, so
-/// enabling it (with SLO rules armed) must also be pure observation:
+/// enabling it must also be pure observation:
 /// every pinned timeline comes out bit-for-bit identical, while the
 /// window partition reproduces the run-total histograms exactly.
 #[test]
 fn timeline_enabled_reproduces_golden_pins() {
-    use hpx_lci_repro::telemetry::{SloRule, TimelineConfig};
+    use hpx_lci_repro::telemetry::TimelineConfig;
     for &(name, end_ns, executed, digest) in GOLDEN {
-        let cfg_tl = TimelineConfig {
-            slos: vec![SloRule {
-                name: "lat".into(),
-                hist: "parcel.latency_ns".into(),
-                objective_ns: 50_000,
-                target: 0.99,
-                burn_threshold: 1.0,
-                min_samples: 4,
-            }],
-            ..TimelineConfig::default()
-        };
-        let tel = hpx_lci_repro::telemetry::enable_with(cfg_tl);
+        let tel = hpx_lci_repro::telemetry::enable_with(TimelineConfig::default());
         let mut cfg = WorldConfig::two_nodes(name.parse().unwrap(), 8);
         cfg.seed = 11;
         let d = send_all(cfg, payloads());
@@ -170,7 +159,6 @@ fn timeline_enabled_reproduces_golden_pins() {
         // The windowed series must partition the run exactly: merging
         // every window of the parcel-latency histogram reproduces the
         // run-total histogram, one sample per delivered parcel.
-        tel.timeline_finalize();
         let merged = tel
             .with_timeline(|tl| tl.merged_hist("parcel.latency_ns").expect("deliveries recorded"))
             .expect("timeline enabled");
@@ -181,29 +169,18 @@ fn timeline_enabled_reproduces_golden_pins() {
     }
 }
 
-/// A deterministic fault scenario must produce a deterministic alert
-/// window and flight-recorder dump: same seed, same faults, same
-/// timeline — pinned like the timelines above. If these move, windowed
-/// observation (or fault injection) changed behavior.
+/// A deterministic fault scenario must produce a deterministic latency
+/// breach: same seed, same faults, same windowed latency series — pinned
+/// like the timelines above. If these move, windowed observation (or
+/// fault injection) changed behavior.
 #[test]
-fn fault_scenario_pins_alert_window_and_flight_dump() {
+fn fault_scenario_pins_breach_window() {
     use hpx_lci_repro::netsim::FaultConfig;
-    use hpx_lci_repro::telemetry::{SloRule, TimelineConfig};
-    // 10 µs windows over a ~70 µs run: the fault-inflated latency tail is
+    use hpx_lci_repro::telemetry::TimelineConfig;
+    // 10 µs windows over a ~80 µs run: the fault-inflated latency tail is
     // visible per window while the run-mean stays low.
-    let cfg_tl = TimelineConfig {
-        window_ns: 10_000,
-        slos: vec![SloRule {
-            name: "lat".into(),
-            hist: "parcel.latency_ns".into(),
-            objective_ns: 25_000,
-            target: 0.99,
-            burn_threshold: 1.0,
-            min_samples: 2,
-        }],
-        ..TimelineConfig::default()
-    };
-    let tel = hpx_lci_repro::telemetry::enable_with(cfg_tl);
+    const OBJECTIVE_NS: u64 = 25_000;
+    let tel = hpx_lci_repro::telemetry::enable_with(TimelineConfig { window_ns: 10_000 });
     let mut cfg = WorldConfig::two_nodes("lci_psr_cq_pin_i".parse().unwrap(), 8);
     cfg.seed = 11;
     cfg.faults = Some(FaultConfig { drop_prob: 0.2, ..FaultConfig::default() });
@@ -211,37 +188,31 @@ fn fault_scenario_pins_alert_window_and_flight_dump() {
     hpx_lci_repro::telemetry::disable();
     assert_eq!(d.delivered, 40, "drops must not lose parcels");
     assert!(d.world.sim.stats.get("net.retransmitted") > 0, "20% loss must retransmit");
-    tel.timeline_finalize();
 
-    let alerts = tel.timeline_alerts();
-    let dumps = tel.timeline_dumps();
+    // The first window holding a parcel latency over the objective, with
+    // its (over-objective, total) sample counts, and the covered horizon.
+    let (breach, horizon) = tel
+        .with_timeline(|tl| {
+            let breach = tl.hist_windows("parcel.latency_ns").and_then(|ws| {
+                ws.iter().find_map(|(&w, h)| {
+                    let over = h.count() - h.count_at_most(OBJECTIVE_NS);
+                    (over > 0).then_some((w, over, h.count()))
+                })
+            });
+            (breach, (tl.cursor_ns(), tl.num_windows()))
+        })
+        .expect("timeline enabled");
     eprintln!(
-        "fault pins: end {} alerts {:?} dumps {:?}",
-        d.world.sim.now().as_nanos(),
-        alerts.iter().map(|a| (a.rule.clone(), a.window, a.bad, a.total)).collect::<Vec<_>>(),
-        dumps.iter().map(|f| (f.reason.clone(), f.window, f.records.len())).collect::<Vec<_>>(),
+        "fault pins: end {} breach {breach:?} horizon {horizon:?}",
+        d.world.sim.now().as_nanos()
     );
-    // The retransmit fault fires before any SLO window settles, so the
-    // recorder arms on the fault; the dump and the alert land in pinned
-    // windows with a pinned record population.
-    let first_dump = dumps.first().expect("fault must arm the flight recorder");
-    assert_eq!(first_dump.reason, "fault:net.retransmit", "dump must name the fault");
-    let first_alert = alerts.first().expect("late retransmitted parcels must breach the SLO");
-    assert_eq!(first_alert.rule, "lat");
-    // Pinned values, captured from this scenario's deterministic run.
-    assert_eq!(first_alert.window, 6, "alert window moved");
-    assert_eq!((first_alert.bad, first_alert.total), (7, 7), "alert population moved");
-    assert_eq!(first_dump.window, 0, "dump trigger window moved");
-    assert_eq!(first_dump.records.len(), 402, "dump record population moved");
-    // The dump must carry the retransmitted parcels themselves: flow
-    // records delivered after the triggering fault instant.
-    use hpx_lci_repro::telemetry::timeline::FlightRec;
-    let late_flows = first_dump
-        .records
-        .iter()
-        .filter(|r| matches!(r, FlightRec::Flow { deliver_ns, .. } if *deliver_ns > first_dump.trigger_ns))
-        .count();
-    assert!(late_flows > 0, "dump must include parcels delivered after the fault");
+    // Pinned values, captured from this scenario's deterministic run:
+    // retransmitted parcels arrive late enough that every sample of the
+    // breach window is over the objective.
+    let (window, over, total) = breach.expect("late retransmitted parcels must breach 25 us");
+    assert_eq!(window, 6, "breach window moved");
+    assert_eq!((over, total), (7, 7), "breach population moved");
+    assert_eq!(horizon, (81_115, 9), "timeline horizon moved");
 }
 
 fn fnv_bytes(bytes: &[u8]) -> u64 {
@@ -315,27 +286,16 @@ fn run_record_capture_is_pure_and_pinned() {
     );
 }
 
-/// Capture stays pure with a timeline attached: the SLO alert markers
-/// and windowed counter tracks are rendered at export, so neither a
+/// Capture stays pure with a timeline attached: the windowed counter
+/// tracks are rendered at export, so neither a
 /// `RunRecord::capture` nor a timeline document changes what the next
 /// export of the same collector shows.
 #[test]
 fn capture_with_timeline_leaves_exports_unchanged() {
     use hpx_lci_repro::telemetry::record::{RunMeta, RunRecord};
-    use hpx_lci_repro::telemetry::{SloRule, TimelineConfig};
+    use hpx_lci_repro::telemetry::TimelineConfig;
 
-    let cfg_tl = TimelineConfig {
-        slos: vec![SloRule {
-            name: "lat".into(),
-            hist: "parcel.latency_ns".into(),
-            objective_ns: 1_000,
-            target: 0.99,
-            burn_threshold: 1.0,
-            min_samples: 1,
-        }],
-        ..TimelineConfig::default()
-    };
-    let tel = hpx_lci_repro::telemetry::enable_with(cfg_tl);
+    let tel = hpx_lci_repro::telemetry::enable_with(TimelineConfig::default());
     let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
     p.total_msgs = 1_000;
     let r = bench::run_msgrate(&p);
@@ -354,9 +314,10 @@ fn capture_with_timeline_leaves_exports_unchanged() {
         trace_before == tel.chrome_trace_collected(),
         "capturing a run record changed the Chrome trace of the same collector"
     );
-    assert!(!tel.timeline_alerts().is_empty(), "the SLO rule must fire");
-    assert!(trace_before.contains("\"tid\":\"slo/lat\""), "alert markers missing");
-    assert!(trace_before.contains("\"name\":\"tl.parcel.latency_ns.p99_us\""));
+    assert!(
+        trace_before.contains("\"name\":\"tl.parcel.latency_ns.p99_us\""),
+        "windowed latency track missing"
+    );
     let doc = tel.timeline_json("lci_psr_cq_pin_i").expect("timeline attached");
     assert!(
         doc == tel.timeline_json("lci_psr_cq_pin_i").expect("timeline attached"),

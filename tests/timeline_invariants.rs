@@ -15,7 +15,6 @@ use hpx_lci_repro::telemetry::{self, Histogram, Telemetry, TimelineConfig};
 /// Assert the window-partition invariant: windowed histograms and
 /// counters recombine exactly to the run totals, for every key.
 fn assert_windows_partition(tel: &Telemetry, what: &str) {
-    tel.timeline_finalize();
     let merged: BTreeMap<&'static str, Histogram> = tel
         .with_timeline(|tl| {
             let keys: Vec<_> = tl.hist_keys().collect();
@@ -125,7 +124,6 @@ fn fat_tree_64_windows_partition_exactly() {
 
     // Per-port window accounting must agree with the fabric's own port
     // counters — the same accesses, sliced by window.
-    tel.timeline_finalize();
     let fab = world.fabric.borrow();
     let topo = fab.topology().expect("cluster runs on a switched fabric");
     let ranked = topo.ranked_ports();
