@@ -1,7 +1,7 @@
 //! The communicator: two-sided operations serialized by one blocking lock.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -67,10 +67,15 @@ pub struct Comm {
     cost: Rc<CostModel>,
     cfg: CommConfig,
     lock: SimLock,
-    /// Posted receives, searched linearly like a real MPI posted-recv queue.
+    /// Posted receives, searched linearly like a real MPI posted-recv
+    /// queue; `scan_cost` charges the match's position. At most a few
+    /// deep in practice, so a `Vec`.
     posted: Vec<PostedRecv>,
-    /// Unexpected messages, also a linear structure.
-    unexpected: Vec<UnexpMsg>,
+    /// Unexpected messages in arrival order. The virtual cost is still
+    /// the linear scan's (`scan_cost` charges the match's arrival-order
+    /// position); the host container is a deque because nearly every
+    /// match is taken from the front.
+    unexpected: VecDeque<UnexpMsg>,
     rdv_send: HashMap<u64, RdvSend>,
     rdv_recv: HashMap<u64, Request>,
     next_op: u64,
@@ -93,7 +98,7 @@ impl Comm {
             cfg,
             lock: SimLock::new("ucp_progress", handoff, per_waiter),
             posted: Vec::new(),
-            unexpected: Vec::new(),
+            unexpected: VecDeque::new(),
             rdv_send: HashMap::new(),
             rdv_recv: HashMap::new(),
             next_op: 1,
@@ -237,8 +242,9 @@ impl Comm {
         tag: u64,
     ) -> (Request, SimTime) {
         self.progress_locked(sim, core);
-        // Search the unexpected queue first (linear, like real MPI); the
-        // critical-section cost depends on how deep the match sits.
+        // Search the unexpected queue first, in arrival order like real
+        // MPI; the critical-section cost charges how deep the match sits,
+        // while removing it from the deque costs the host O(1) at the front.
         let pos = self
             .unexpected
             .iter()
@@ -256,8 +262,7 @@ impl Comm {
         telemetry::counter_add_at("mpi.irecv_calls", 1, grant.start);
         telemetry::hist_record_at("mpi.lock_wait_ns", grant.start - start, grant.start);
         let req = Request::pending();
-        if let Some(i) = pos {
-            let m = self.unexpected.remove(i);
+        if let Some(m) = pos.and_then(|i| self.unexpected.remove(i)) {
             if m.rts {
                 // Late receive for a rendezvous send: answer RTR now.
                 let op = self.next_op;
@@ -360,7 +365,7 @@ impl Comm {
                 }
                 None => {
                     sim.stats.bump("mpi.unexpected");
-                    self.unexpected.push(UnexpMsg {
+                    self.unexpected.push_back(UnexpMsg {
                         src: pkt.src,
                         tag: pkt.tag,
                         data: pkt.data,
@@ -395,7 +400,7 @@ impl Comm {
                     }
                     None => {
                         sim.stats.bump("mpi.unexpected_rts");
-                        self.unexpected.push(UnexpMsg {
+                        self.unexpected.push_back(UnexpMsg {
                             src: pkt.src,
                             tag: pkt.tag,
                             data: Bytes::new(),
@@ -612,5 +617,92 @@ mod tests {
         assert_eq!(done, vec![0]);
         assert!(r1.is_done());
         assert!(!r2.is_done());
+    }
+
+    /// Tag of the `i`-th buffered message in `deep_unexpected_queue_matching`:
+    /// tags 1 and 2 alternate in pairs, and `i` = 20, 21, 30, 31 carry tag 3.
+    fn deep_tag(i: usize) -> u64 {
+        if i >= 20 && i % 10 < 2 {
+            3
+        } else {
+            1 + (i as u64 / 2) % 2
+        }
+    }
+
+    /// Forty eager messages from ranks 0 and 1 buffered at rank 2, then
+    /// matched from the middle, the front and not at all. Each `irecv`
+    /// returns `now + hold`, and the hold carries `scan_cost` for the
+    /// match's arrival-order position, so the pinned times pin the
+    /// virtual matching cost.
+    #[test]
+    fn deep_unexpected_queue_matching() {
+        const N: usize = 40;
+        let cost = Rc::new(CostModel::default());
+        let fabric = Rc::new(RefCell::new(Fabric::new(3, WireModel::expanse())));
+        let mut senders: Vec<Comm> = (0..2)
+            .map(|r| Comm::new(r, fabric.clone(), cost.clone(), CommConfig::default()))
+            .collect();
+        let mut c = Comm::new(2, fabric, cost, CommConfig::default());
+        let mut sim = Sim::new(3);
+        for i in 0..N {
+            let now = sim.now();
+            senders[i % 2].isend(&mut sim, 0, now, 2, deep_tag(i), Bytes::from(vec![i as u8]));
+            sim.run_until(now + 1_000);
+        }
+        let dummy = Request::completed();
+        for _ in 0..100 {
+            sim.run_until(sim.now() + 10_000);
+            let now = sim.now();
+            c.test(&mut sim, 0, now, &dummy);
+            if c.unexpected_messages() == N {
+                break;
+            }
+        }
+        assert_eq!(c.unexpected_messages(), N);
+
+        // Each call starts 10 us after the last, so no lock wait and no
+        // deferred packet work: the returned time is `now + hold`.
+        let recv = |sim: &mut Sim, c: &mut Comm, src: NodeId, tag: u64| {
+            sim.run_until(sim.now() + 10_000);
+            let now = sim.now();
+            let (req, t) = c.irecv(sim, 0, now, src, tag);
+            (req, t - now)
+        };
+        let payload = |req: &Request| req.take_data()[0] as usize;
+        // hold = mpi_call + mpi_match + progress_hold (310 ns) plus
+        // mpi_unexp_scan (12 ns) per queue entry scanned.
+
+        // Exact source, mid-queue: (1, 3) skips i = 20 from rank 0.
+        let (req, hold) = recv(&mut sim, &mut c, 1, 3);
+        assert_eq!((payload(&req), req.source()), (21, 1));
+        assert_eq!(hold, 574);
+        assert_eq!(c.unexpected_messages(), N - 1);
+
+        // ANY_SOURCE takes the oldest remaining tag-3 message.
+        let (req, hold) = recv(&mut sim, &mut c, ANY_SOURCE, 3);
+        assert_eq!((payload(&req), req.source()), (20, 0));
+        assert_eq!(hold, 562);
+        assert_eq!(c.unexpected_messages(), N - 2);
+
+        // Same (src, tag) comes out in arrival order, each from wherever
+        // it now sits in the queue.
+        let mut got = Vec::new();
+        let mut holds = Vec::new();
+        for _ in 0..9 {
+            let (req, hold) = recv(&mut sim, &mut c, 0, 1);
+            assert!(req.is_done());
+            got.push(payload(&req));
+            holds.push(hold);
+        }
+        assert_eq!(got, [0, 4, 8, 12, 16, 24, 28, 32, 36]);
+        assert_eq!(holds, [322, 358, 394, 430, 466, 526, 562, 598, 634]);
+        assert_eq!(c.unexpected_messages(), N - 11);
+
+        // A miss scans the whole queue and posts the receive.
+        let (req, hold) = recv(&mut sim, &mut c, 1, 99);
+        assert!(!req.is_done());
+        assert_eq!(hold, 658);
+        assert_eq!(c.unexpected_messages(), N - 11);
+        assert_eq!(c.posted_receives(), 1);
     }
 }
