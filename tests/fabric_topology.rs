@@ -13,57 +13,15 @@
 
 mod common;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use bytes::Bytes;
-use hpx_lci_repro::amt::action::ActionRegistry;
-use hpx_lci_repro::parcelport::{build_world, World, WorldConfig};
-
-const LOCALITIES: usize = 64;
-const MSGS_PER_LOC: usize = 3;
+use common::{fat_tree_run as run, LOCALITIES, MSGS_PER_LOC};
+use hpx_lci_repro::parcelport::World;
 
 /// Pinned `(end ns, events executed, fabric xmit_pkts, fabric
-/// xmit_wait_ns)` for the workload below, captured from the seed run.
+/// xmit_wait_ns)` for [`common::fat_tree_run`], captured from the seed run.
 const PIN_END_NS: u64 = 20_620;
 const PIN_EXECUTED: u64 = 1_152;
 const PIN_XMIT_PKTS: u64 = 960;
 const PIN_XMIT_WAIT_NS: u64 = 31_104;
-
-/// Every locality fires `MSGS_PER_LOC` 8-byte parcels at the locality
-/// half the machine away — all-cross-pod traffic, the fig-1 message-rate
-/// shape scaled out to 64 nodes.
-fn run() -> (World, usize) {
-    let mut registry = ActionRegistry::new();
-    let got = Rc::new(Cell::new(0usize));
-    let g = got.clone();
-    registry.register("sink", move |sim, _l, _c, _p| {
-        g.set(g.get() + 1);
-        sim.now() + 150
-    });
-    let sink = registry.id_of("sink").unwrap();
-    let mut cfg = WorldConfig::cluster("lci_psr_cq_pin_i".parse().unwrap(), LOCALITIES, 2);
-    cfg.seed = 11;
-    let mut world = build_world(&cfg, registry);
-    for src in 0..LOCALITIES {
-        let dst = (src + LOCALITIES / 2) % LOCALITIES;
-        for _ in 0..MSGS_PER_LOC {
-            let loc = world.locality(src).clone();
-            loc.spawn(
-                &mut world.sim,
-                0,
-                Box::new(move |sim, loc, core| {
-                    loc.send_action(sim, core, dst, sink, vec![Bytes::from_static(b"fig1-8b!")])
-                }),
-            );
-        }
-    }
-    let expect = LOCALITIES * MSGS_PER_LOC;
-    let g = got.clone();
-    world.run_while(60_000_000_000, move |_| g.get() < expect);
-    let n = got.get();
-    (world, n)
-}
 
 fn port_totals(world: &World) -> (u64, u64) {
     let fab = world.fabric.borrow();

@@ -326,6 +326,49 @@ fn capture_with_timeline_leaves_exports_unchanged() {
     assert!(trace_before == tel.chrome_trace_collected(), "a timeline export changed the trace");
 }
 
+/// The exports themselves, pinned by digest: the Chrome trace and the
+/// timeline document of two instrumented runs under a default timeline —
+/// the fig1 1,000-message run above and the 64-locality fat-tree run of
+/// `tests/fabric_topology.rs` (per-port and per-link counter tracks).
+/// How telemetry stores what it collects may change; what it exports may
+/// not, short of a conscious re-pin.
+#[test]
+fn chrome_and_timeline_exports_are_pinned() {
+    use hpx_lci_repro::telemetry::{Telemetry, TimelineConfig};
+
+    let digests = |tel: &Telemetry, config: &str| {
+        let chrome = tel.chrome_trace_collected();
+        let timeline = tel.timeline_json(config).expect("timeline attached");
+        (fnv_bytes(chrome.as_bytes()), fnv_bytes(timeline.as_bytes()))
+    };
+
+    let tel = hpx_lci_repro::telemetry::enable_with(TimelineConfig::default());
+    let mut p = bench::MsgRateParams::small("lci_psr_cq_pin_i".parse().unwrap());
+    p.total_msgs = 1_000;
+    let r = bench::run_msgrate(&p);
+    hpx_lci_repro::telemetry::disable();
+    assert!(r.msg_rate > 0.0);
+    let fig1 = digests(&tel, "lci_psr_cq_pin_i");
+
+    let tel = hpx_lci_repro::telemetry::enable_with(TimelineConfig::default());
+    let (world, delivered) = common::fat_tree_run();
+    hpx_lci_repro::telemetry::disable();
+    assert_eq!(delivered, common::LOCALITIES * common::MSGS_PER_LOC, "lost parcels");
+    drop(world);
+    let fat_tree = digests(&tel, "lci_psr_cq_pin_i");
+
+    assert_eq!(
+        fig1,
+        (0x37427389b4803ff5, 0xaffb9ec0efcf3d62),
+        "fig1 Chrome/timeline export bytes moved"
+    );
+    assert_eq!(
+        fat_tree,
+        (0x5949c648496712d0, 0xc9f15c181d10ed2a),
+        "fat-tree Chrome/timeline export bytes moved"
+    );
+}
+
 #[test]
 fn octotiger_trace_matches_pre_rewrite_engine() {
     use hpx_lci_repro::octotiger_mini::{run_octotiger, OctoParams};
