@@ -9,7 +9,7 @@ use simcore::recorder::{self, MarkKind};
 use simcore::{CoreClock, CostModel, EventHandler, EventId, HandlerId, Sim, SimResource, SimTime};
 
 use telemetry::profile::POLL;
-use telemetry::CoreState;
+use telemetry::{CoreState, TrackKey};
 
 use crate::action::{ActionId, ActionRegistry};
 use crate::parcel::Parcel;
@@ -185,12 +185,13 @@ impl Locality {
         self.parcelport.borrow().clone()
     }
 
-    /// Sample the run-queue depth as a counter track (the `format!` only
-    /// runs when a collector is installed).
+    /// Sample the run-queue depth as counter track `loc{id}.runq` (the
+    /// queue is only read when a collector is installed; the name is
+    /// rendered at export).
     fn sample_runq(&self, sim: &Sim) {
         telemetry::with(|tel| {
             let depth = self.sched.borrow().queue.len();
-            tel.track_sample(&format!("loc{}.runq", self.id), sim.now(), depth as f64);
+            tel.track_sample(TrackKey::indexed("loc", self.id, ".runq"), sim.now(), depth as f64);
         });
     }
 
@@ -521,7 +522,7 @@ impl Locality {
         if !msg.flows.is_empty() {
             telemetry::with(|tel| {
                 let n = tel.with_metrics(|m| m.counter("amt.messages_delivered"));
-                tel.track_sample("amt.delivered", at.max(sim.now()), n as f64);
+                tel.track_sample(TrackKey::name("amt.delivered"), at.max(sim.now()), n as f64);
             });
         }
         let h = self.handler_id(sim);

@@ -24,6 +24,7 @@ use std::rc::Rc;
 
 use simcore::recorder::{self, MarkKind};
 use simcore::{CostModel, Sim, SimResource, SimTime};
+use telemetry::TrackKey;
 
 use crate::locality::Locality;
 use crate::parcel::Parcel;
@@ -219,10 +220,12 @@ impl ParcelLayer {
             Next::Drain(t2)
         });
 
-        // Counter track of the per-destination queue depth. The `flow != 0`
-        // guard means the name is only formatted while tracing is on.
+        // Counter track `loc{id}.sendq` of the per-destination queue
+        // depth, sampled for traced parcels only (`flow != 0`); the key is
+        // `Copy` and its name is rendered at export.
         if flow != 0 {
-            telemetry::track_sample(&format!("loc{}.sendq", loc.id), now, queue_depth as f64);
+            let key = TrackKey::indexed("loc", loc.id, ".sendq");
+            telemetry::track_sample(key, now, queue_depth as f64);
         }
 
         match next {

@@ -173,9 +173,10 @@ impl TraceSink {
 fn track_sparklines(tel: &Telemetry) -> String {
     use telemetry::profile::{resample, sparkline};
     tel.with_metrics(|m| {
-        let horizon = m.tracks().flat_map(|(_, s)| s.iter().map(|&(t, _)| t)).max().unwrap_or(0);
+        let tracks = m.tracks();
+        let horizon = tracks.iter().flat_map(|(_, s)| s.iter().map(|&(t, _)| t)).max().unwrap_or(0);
         let mut out = String::new();
-        for (name, series) in m.tracks() {
+        for (name, series) in tracks {
             let buckets = resample(series, horizon, 48);
             let peak = series.iter().map(|&(_, v)| v).fold(0.0_f64, f64::max);
             out.push_str(&format!("  {name:<24} {} peak {peak:.1}\n", sparkline(&buckets)));

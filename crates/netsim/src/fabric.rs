@@ -6,6 +6,7 @@ use std::rc::Rc;
 use rand::Rng;
 use simcore::recorder::{self, MarkKind};
 use simcore::{Sim, SimResource, SimTime};
+use telemetry::TrackKey;
 
 use crate::model::WireModel;
 use crate::packet::{NodeId, Packet};
@@ -277,15 +278,12 @@ impl Fabric {
         self.bytes_sent += pkt.len() as u64;
         sim.stats.bump("net.sent");
         // Per-link utilization track: cumulative wire-busy µs, sampled at
-        // the instant the link frees (the `with` guard keeps the disabled
-        // path allocation-free).
-        telemetry::with(|tel| {
-            tel.track_sample(
-                &format!("net.link{src}.busy_us"),
-                self.wire_free[src],
-                self.link_busy[src] as f64 / 1e3,
-            );
-        });
+        // the instant the link frees (a no-op without a collector).
+        telemetry::track_sample(
+            TrackKey::indexed("net.link", src, ".busy_us"),
+            self.wire_free[src],
+            self.link_busy[src] as f64 / 1e3,
+        );
 
         let chan = self.chan(src, dst, ctx);
         // Channel-level duplication only applies on the direct wire; a

@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simcore::{SimResource, SimTime};
+use telemetry::TrackKey;
 
 use super::graph::{Dist, Peer, TopoGraph};
 use super::intern;
@@ -272,9 +273,9 @@ impl SwitchFabric {
             // `trace_check` enforces).
             let at = SimTime::from_nanos(tn.max(p.last_sample_ns));
             p.last_sample_ns = at.as_nanos();
-            tel.track_sample(&format!("{}.occ", p.name), at, p.inflight.len() as f64);
+            tel.track_sample(TrackKey::suffixed(p.name, ".occ"), at, p.inflight.len() as f64);
             tel.track_sample(
-                &format!("{}.xmit_wait_us", p.name),
+                TrackKey::suffixed(p.name, ".xmit_wait_us"),
                 at,
                 p.counters.xmit_wait_ns as f64 / 1e3,
             );

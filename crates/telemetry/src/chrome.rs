@@ -120,7 +120,7 @@ pub fn chrome_trace(
     }
 
     for (name, series) in metrics.tracks() {
-        counter_track(&mut out, name, series);
+        counter_track(&mut out, &name, series);
     }
     for (name, series) in timeline.map(Timeline::counter_tracks).unwrap_or_default() {
         counter_track(&mut out, &name, &series);
@@ -156,6 +156,7 @@ mod tests {
 
     use super::*;
     use crate::flow::FlowTracer;
+    use crate::metrics::TrackKey;
     use crate::timeline::TimelineConfig;
 
     #[test]
@@ -172,7 +173,7 @@ mod tests {
         f.mark(id, stage::SPAWN, SimTime::from_nanos(3_200));
         f.set_dst_core(&[id], 2);
         let mut m = Metrics::new();
-        m.track_sample("queue_depth", 1_000, 3.0);
+        m.track_sample(TrackKey::name("queue_depth"), 1_000, 3.0);
         let json = chrome_trace(&slices, f.flows(), &m, None, None);
         let parsed = crate::json::parse(&json).expect("chrome json parses");
         let events = parsed.as_arr().unwrap();
@@ -195,7 +196,7 @@ mod tests {
         let mut tl = Timeline::new(TimelineConfig { window_ns: 100 });
         tl.hist_at("lat", 500, 150);
         let mut m = Metrics::new();
-        m.track_sample("zz.recorded", 0, 1.0);
+        m.track_sample(TrackKey::name("zz.recorded"), 0, 1.0);
         let json = chrome_trace(&[], &[], &m, Some(&tl), None);
         let recorded = json.find("\"zz.recorded\"").expect("recorded track");
         let windowed = json.find("\"tl.lat.p99_us\"").expect("windowed track");

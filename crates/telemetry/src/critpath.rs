@@ -12,17 +12,21 @@
 //! exactly. Unmarked residue is attributed to `cpu` (plain event work) and
 //! the span before the first on-path event to `startup`.
 //!
+//! Marks are emitted in dispatch order, so their owners never decrease
+//! and each on-path event's marks are one contiguous run of the log: the
+//! walk takes them by binary search, with no hashing.
+//!
 //! Per-parcel critical paths come from the flow tracer instead: each
 //! delivered parcel's stage timestamps telescope into a component
 //! partition of its end-to-end latency.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use simcore::MarkKind;
 
 use crate::causal::{CausalLog, MarkRec};
 use crate::flow::{stage, FlowRec, UNSET};
+use crate::fx::FxMap;
 use crate::json::escape_json;
 
 /// One labeled interval on a critical path. Segments are contiguous:
@@ -96,15 +100,14 @@ fn push_segment(segments: &mut Vec<PathSegment>, component: &str, start: u64, en
 fn carve(
     segments: &mut Vec<PathSegment>,
     wire_fixed: &mut u64,
-    marks: &[&MarkRec],
+    marks: &[MarkRec],
     t_p: u64,
     t_c: u64,
 ) {
     if t_c <= t_p {
         return;
     }
-    let mut ms: Vec<&MarkRec> =
-        marks.iter().copied().filter(|m| m.end > t_p && m.start < t_c).collect();
+    let mut ms: Vec<&MarkRec> = marks.iter().filter(|m| m.end > t_p && m.start < t_c).collect();
     // Stable: equal starts keep emission order (e.g. a resource's wait
     // mark sorts before a later, wider serialize mark at the same start).
     ms.sort_by_key(|m| m.start);
@@ -169,23 +172,24 @@ impl CritPath {
         path.reverse();
         cp.events_on_path = path.len();
 
-        let on_path: HashSet<u64> = path.iter().copied().collect();
-        let mut by_owner: HashMap<u64, Vec<&MarkRec>> = HashMap::new();
-        for m in marks {
-            if on_path.contains(&m.owner) {
-                by_owner.entry(m.owner).or_default().push(m);
-            }
-        }
+        debug_assert!(
+            marks.windows(2).all(|w| w[0].owner <= w[1].owner),
+            "causal marks must be in dispatch (owner) order"
+        );
 
         let t_root = nodes[(path[0] - base) as usize].at;
         push_segment(&mut cp.segments, "startup", 0, t_root);
+        // The path ascends and marks are owner-sorted: each node's marks
+        // are the next run of `owner == p` past the previous node's.
+        let mut rest = marks;
         for w in path.windows(2) {
             let (p, c) = (w[0], w[1]);
             let t_p = nodes[(p - base) as usize].at;
             let t_c = nodes[(c - base) as usize].at;
-            let empty = Vec::new();
-            let owned = by_owner.get(&p).unwrap_or(&empty);
+            rest = &rest[rest.partition_point(|m| m.owner < p)..];
+            let (owned, after) = rest.split_at(rest.partition_point(|m| m.owner == p));
             carve(&mut cp.segments, &mut cp.wire_fixed_ns, owned, t_p, t_c);
+            rest = after;
         }
         cp.path_nodes = path;
 
@@ -195,7 +199,7 @@ impl CritPath {
             "critical-path segments must partition the makespan",
         );
 
-        let mut agg: HashMap<&str, u64> = HashMap::new();
+        let mut agg: FxMap<&str, u64> = FxMap::default();
         for s in &cp.segments {
             *agg.entry(s.component.as_str()).or_default() += s.len_ns();
         }

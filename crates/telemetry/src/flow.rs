@@ -12,9 +12,9 @@
 //! Flow id 0 means "untracked": every mutator ignores it, so call sites
 //! can mark unconditionally.
 
-use std::collections::HashMap;
-
 use simcore::SimTime;
+
+use crate::fx::FxMap;
 
 /// Stage indices of the parcel lifecycle, in causal order.
 pub mod stage {
@@ -83,7 +83,7 @@ impl FlowRec {
 #[derive(Debug)]
 pub struct FlowTracer {
     flows: Vec<FlowRec>,
-    routes: HashMap<(usize, usize, u64), Vec<u64>>,
+    routes: FxMap<(usize, usize, u64), Vec<u64>>,
     /// Stop allocating new flows past this many (memory guard for long
     /// runs); marks on existing flows keep working.
     pub max_flows: usize,
@@ -98,7 +98,7 @@ impl Default for FlowTracer {
 impl FlowTracer {
     /// Create an empty tracer.
     pub fn new() -> Self {
-        FlowTracer { flows: Vec::new(), routes: HashMap::new(), max_flows: 1 << 22 }
+        FlowTracer { flows: Vec::new(), routes: FxMap::default(), max_flows: 1 << 22 }
     }
 
     /// Start a flow for a parcel put on `src_core` of locality `src`,

@@ -4,7 +4,9 @@
 //!
 //! * a **metrics registry** ([`Metrics`]): counters, gauges and
 //!   log-bucketed histograms ([`Histogram`]) with p50/p90/p99, all
-//!   `&'static str`-keyed with no steady-state allocation;
+//!   `&'static str`-keyed with no steady-state allocation, plus counter
+//!   tracks keyed by a `Copy` [`TrackKey`] whose name is rendered only
+//!   at export;
 //! * **parcel-lifecycle flow tracing** ([`FlowTracer`]): a per-parcel
 //!   stage timeline (`put → queue → serialize → inject → wire → match →
 //!   deliver → spawn`) stitched across localities via an out-of-band
@@ -45,6 +47,7 @@ pub mod chrome;
 pub mod critpath;
 pub mod diff;
 pub mod flow;
+pub mod fx;
 pub mod hist;
 pub mod json;
 pub mod metrics;
@@ -65,12 +68,16 @@ use causal::CausalLog;
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
+pub use fx::FxMap;
 pub use hist::Histogram;
-pub use metrics::{ContentionStat, ContentionTable, Metrics, ResourceKind};
+pub use metrics::{ContentionStat, ContentionTable, Metrics, ResourceKind, TrackKey};
 pub use profile::{CoreProfile, CoreState, CoreTimeReport};
 pub use record::{RunMeta, RunRecord};
 pub use report::{Breakdown, ContentionReport};
 pub use timeline::{Timeline, TimelineConfig};
+
+/// Counter track of parcels begun but not yet delivered.
+const IN_FLIGHT: TrackKey = TrackKey::name("parcels.in_flight");
 
 /// The collector: metrics + flows + contention, behind one `RefCell`.
 #[derive(Debug, Default)]
@@ -156,10 +163,10 @@ impl Telemetry {
         self.inner.borrow_mut().metrics.gauge_set(key, v);
     }
 
-    /// Append a counter-track sample.
-    pub fn track_sample(&self, name: &str, t: SimTime, v: f64) {
+    /// Append a sample to counter track `key`.
+    pub fn track_sample(&self, key: TrackKey, t: SimTime, v: f64) {
         let inner = &mut *self.inner.borrow_mut();
-        inner.metrics.track_sample(name, t.as_nanos(), v);
+        inner.metrics.track_sample(key, t.as_nanos(), v);
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
         }
@@ -172,7 +179,7 @@ impl Telemetry {
         if id != 0 {
             inner.in_flight += 1;
             let v = inner.in_flight as f64;
-            inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
+            inner.metrics.track_sample(IN_FLIGHT, t.as_nanos(), v);
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
@@ -195,7 +202,7 @@ impl Telemetry {
         if newly > 0 && stage == stage::DELIVER {
             inner.in_flight -= newly as i64;
             let v = inner.in_flight as f64;
-            inner.metrics.track_sample("parcels.in_flight", t.as_nanos(), v);
+            inner.metrics.track_sample(IN_FLIGHT, t.as_nanos(), v);
         }
         if let Some(tl) = &mut inner.timeline {
             tl.observe(t.as_nanos());
@@ -601,10 +608,10 @@ pub fn hist_record_at(key: &'static str, v: u64, t: SimTime) {
     with(|tel| tel.hist_record_at(key, v, t));
 }
 
-/// Append a counter-track sample on the active collector.
+/// Append a sample to counter track `key` on the active collector.
 #[inline]
-pub fn track_sample(name: &str, t: SimTime, v: f64) {
-    with(|tel| tel.track_sample(name, t, v));
+pub fn track_sample(key: TrackKey, t: SimTime, v: f64) {
+    with(|tel| tel.track_sample(key, t, v));
 }
 
 /// Set the profiler's current-locality context; no-op when disabled.

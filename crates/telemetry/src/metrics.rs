@@ -5,11 +5,53 @@
 //! allocates its node once on first touch, after which updates are
 //! allocation-free — the same discipline as `simcore::Stats`. Counter
 //! tracks (sampled time series destined for Perfetto counter tracks) are
-//! string-keyed because they are only ever fed from enabled-only code.
+//! keyed by a `Copy` [`TrackKey`] in an [`FxMap`]: a sample formats no
+//! name and compares no strings, and names are rendered only at export,
+//! by [`Metrics::tracks`], which sorts them.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
+use crate::fx::FxMap;
 use crate::hist::Histogram;
+
+/// Name of a counter track: `{base}{index}{suffix}`, kept in parts so a
+/// sample needs no `format!`; rendered (via `Display`) only at export.
+/// Two keys that render the same name must be the same key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TrackKey {
+    base: &'static str,
+    index: Option<u32>,
+    suffix: &'static str,
+}
+
+impl TrackKey {
+    /// A fixed name, e.g. `parcels.in_flight`.
+    pub const fn name(name: &'static str) -> Self {
+        TrackKey { base: name, index: None, suffix: "" }
+    }
+
+    /// `{base}{suffix}`, e.g. a switch port's name plus `.occ`.
+    pub const fn suffixed(base: &'static str, suffix: &'static str) -> Self {
+        TrackKey { base, index: None, suffix }
+    }
+
+    /// `{base}{index}{suffix}`, e.g. `loc` + 3 + `.runq`.
+    pub fn indexed(base: &'static str, index: usize, suffix: &'static str) -> Self {
+        let index = u32::try_from(index).expect("track index fits in u32");
+        TrackKey { base, index: Some(index), suffix }
+    }
+}
+
+impl fmt::Display for TrackKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.base)?;
+        if let Some(i) = self.index {
+            write!(f, "{i}")?;
+        }
+        f.write_str(self.suffix)
+    }
+}
 
 /// Registry of named metrics.
 #[derive(Debug, Default)]
@@ -18,7 +60,7 @@ pub struct Metrics {
     gauges: BTreeMap<&'static str, i64>,
     hists: BTreeMap<&'static str, Histogram>,
     /// Sampled `(t_ns, value)` series rendered as Perfetto counter tracks.
-    tracks: BTreeMap<String, Vec<(u64, f64)>>,
+    tracks: FxMap<TrackKey, Vec<(u64, f64)>>,
 }
 
 impl Metrics {
@@ -66,13 +108,10 @@ impl Metrics {
         self.hists.get(key)
     }
 
-    /// Append a `(t_ns, value)` sample to counter track `name`.
-    pub fn track_sample(&mut self, name: &str, t_ns: u64, v: f64) {
-        if let Some(series) = self.tracks.get_mut(name) {
-            series.push((t_ns, v));
-        } else {
-            self.tracks.insert(name.to_string(), vec![(t_ns, v)]);
-        }
+    /// Append a `(t_ns, value)` sample to counter track `key`.
+    #[inline]
+    pub fn track_sample(&mut self, key: TrackKey, t_ns: u64, v: f64) {
+        self.tracks.entry(key).or_default().push((t_ns, v));
     }
 
     /// Iterate counters in key order.
@@ -90,9 +129,16 @@ impl Metrics {
         self.hists.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Iterate counter tracks in name order.
-    pub fn tracks(&self) -> impl Iterator<Item = (&str, &[(u64, f64)])> + '_ {
-        self.tracks.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+    /// Counter tracks with their rendered names, in name order.
+    pub fn tracks(&self) -> Vec<(String, &[(u64, f64)])> {
+        let mut v: Vec<_> =
+            self.tracks.iter().map(|(k, s)| (k.to_string(), s.as_slice())).collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(
+            v.windows(2).all(|w| w[0].0 != w[1].0),
+            "two track keys render the same name"
+        );
+        v
     }
 }
 
@@ -152,7 +198,7 @@ impl ContentionStat {
 /// Per-resource contention attribution, fed through the `simcore::recorder` slot.
 #[derive(Debug, Default)]
 pub struct ContentionTable {
-    rows: BTreeMap<&'static str, ContentionStat>,
+    rows: FxMap<&'static str, ContentionStat>,
 }
 
 impl ContentionTable {
@@ -223,11 +269,28 @@ mod tests {
     #[test]
     fn track_series_accumulate() {
         let mut m = Metrics::new();
-        m.track_sample("q", 10, 1.0);
-        m.track_sample("q", 20, 2.0);
-        let (name, series) = m.tracks().next().unwrap();
-        assert_eq!(name, "q");
-        assert_eq!(series, &[(10, 1.0), (20, 2.0)]);
+        m.track_sample(TrackKey::name("q"), 10, 1.0);
+        m.track_sample(TrackKey::name("q"), 20, 2.0);
+        let tracks = m.tracks();
+        assert_eq!(tracks, [("q".to_string(), &[(10, 1.0), (20, 2.0)][..])]);
+    }
+
+    /// Keys render `{base}{index}{suffix}` only at export, and tracks come
+    /// out sorted by rendered name — `loc10` after `loc1`, as strings
+    /// compare — whatever order they were first sampled in.
+    #[test]
+    fn track_keys_render_at_export_in_name_order() {
+        let mut m = Metrics::new();
+        m.track_sample(TrackKey::indexed("loc", 10, ".runq"), 5, 1.0);
+        m.track_sample(TrackKey::suffixed("fab.s0.p1", ".occ"), 5, 2.0);
+        m.track_sample(TrackKey::indexed("loc", 1, ".runq"), 5, 3.0);
+        m.track_sample(TrackKey::indexed("loc", 2, ".runq"), 5, 4.0);
+        m.track_sample(TrackKey::name("amt.delivered"), 5, 5.0);
+        let names: Vec<_> = m.tracks().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            ["amt.delivered", "fab.s0.p1.occ", "loc1.runq", "loc10.runq", "loc2.runq"]
+        );
     }
 
     #[test]

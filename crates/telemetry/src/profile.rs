@@ -136,7 +136,8 @@ pub struct CoreAccount {
     ns: [u64; N_STATES],
     /// Attributed time per `(state, leaf label)` — the flamegraph leaves.
     leaves: BTreeMap<(CoreState, &'static str), u64>,
-    /// Overlay records waiting for their enclosing base record.
+    /// Overlay records waiting for their enclosing base record, sorted by
+    /// `(start, end)`, ties in arrival order.
     pending: Vec<(u64, u64, CoreState, &'static str)>,
     /// Attributed `(start, end, state)` runs for timeline rendering,
     /// capped at [`MAX_SEGMENTS`].
@@ -192,18 +193,23 @@ impl CoreAccount {
             return;
         }
         let base_start = start.max(self.cursor);
-        self.pending.sort_by_key(|p| (p.0, p.1));
-        for (ps, pe, pstate, plabel) in std::mem::take(&mut self.pending) {
-            if ps >= end {
-                self.pending.push((ps, pe, pstate, plabel));
-                continue;
-            }
+        // `pending` is sorted by `(start, end)`: the overlays starting
+        // inside this base interval are a prefix; the rest stay pending.
+        let inside = self.pending.partition_point(|p| p.0 < end);
+        for i in 0..inside {
+            let (ps, pe, pstate, plabel) = self.pending[i];
             if pe <= self.cursor {
                 continue;
             }
             let ps = ps.max(self.cursor);
             self.fill_to(ps, base_start, state, label);
             self.attribute(pe, pstate, plabel);
+        }
+        self.pending.drain(..inside);
+        // Release a drained burst's buffer: hundreds of accounts each
+        // keeping their deepest backlog's capacity would add up.
+        if self.pending.capacity() > 2 * self.pending.len() {
+            self.pending.shrink_to(self.pending.len());
         }
         self.fill_to(end, base_start, state, label);
     }
@@ -216,13 +222,16 @@ impl CoreAccount {
         if end <= self.cursor || end == start {
             return;
         }
-        self.pending.push((start.max(self.cursor), end, state, label));
+        // Insert after every equal `(start, end)` key: the order a stable
+        // sort of the arrival sequence would give.
+        let key = (start.max(self.cursor), end);
+        let at = self.pending.partition_point(|p| (p.0, p.1) <= key);
+        self.pending.insert(at, (key.0, end, state, label));
     }
 
     /// Flush pending overlays (gaps around them become idle) and extend
     /// the account to `horizon` with idle. Idempotent.
     pub fn finalize(&mut self, horizon: u64) {
-        self.pending.sort_by_key(|p| (p.0, p.1));
         for (ps, pe, pstate, plabel) in std::mem::take(&mut self.pending) {
             if pe <= self.cursor {
                 continue;

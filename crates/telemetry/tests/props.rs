@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simcore::SimTime;
 use telemetry::json::Value;
-use telemetry::{json, Histogram};
+use telemetry::{json, Histogram, TrackKey};
 
 proptest! {
     /// Every quantile of a log-bucketed histogram must stay inside the
@@ -63,7 +63,9 @@ proptest! {
     ) {
         let name: String = chars.iter().map(|&i| NASTY[i]).collect();
         let tel = telemetry::Telemetry::new();
-        tel.track_sample(&name, SimTime::from_nanos(start), 1.0);
+        // Track names are `&'static str` parts; leak the generated one.
+        let key = TrackKey::name(Box::leak(name.clone().into_boxed_str()));
+        tel.track_sample(key, SimTime::from_nanos(start), 1.0);
         let out = tel.chrome_trace_collected();
         let doc = json::parse(&out).expect("chrome export must parse");
         let events = doc.as_arr().expect("array");
