@@ -278,12 +278,14 @@ impl Fabric {
         self.bytes_sent += pkt.len() as u64;
         sim.stats.bump("net.sent");
         // Per-link utilization track: cumulative wire-busy µs, sampled at
-        // the instant the link frees (a no-op without a collector).
-        telemetry::track_sample(
-            TrackKey::indexed("net.link", src, ".busy_us"),
-            self.wire_free[src],
-            self.link_busy[src] as f64 / 1e3,
-        );
+        // the instant the link frees (read only with a collector installed).
+        telemetry::with(|tel| {
+            tel.track_sample(
+                TrackKey::indexed("net.link", src, ".busy_us"),
+                self.wire_free[src],
+                self.link_busy[src] as f64 / 1e3,
+            );
+        });
 
         let chan = self.chan(src, dst, ctx);
         // Channel-level duplication only applies on the direct wire; a

@@ -90,13 +90,4 @@ mod tests {
         // A word-sized tail and a partial tail both reach the hash.
         assert_ne!(hash("abcdefgh"), hash("abcdefghi"));
     }
-
-    #[test]
-    fn map_round_trips() {
-        let mut m: FxMap<&'static str, u64> = FxMap::default();
-        *m.entry("a").or_default() += 2;
-        *m.entry("a").or_default() += 3;
-        m.insert("b", 1);
-        assert_eq!((m["a"], m["b"], m.len()), (5, 1, 2));
-    }
 }

@@ -47,7 +47,7 @@ pub mod chrome;
 pub mod critpath;
 pub mod diff;
 pub mod flow;
-pub mod fx;
+mod fx;
 pub mod hist;
 pub mod json;
 pub mod metrics;
@@ -68,7 +68,6 @@ use causal::CausalLog;
 pub use critpath::{ComponentShare, CritPath, ParcelPath, PathSegment};
 pub use diff::RecordDiff;
 pub use flow::{stage, FlowRec, FlowTracer, STAGE_NAMES};
-pub use fx::FxMap;
 pub use hist::Histogram;
 pub use metrics::{ContentionStat, ContentionTable, Metrics, ResourceKind, TrackKey};
 pub use profile::{CoreProfile, CoreState, CoreTimeReport};
@@ -818,6 +817,41 @@ mod tests {
                 assert_eq!((log.base(), log.node_count(), log.marks().len()), (1, 1, 0));
                 assert_eq!(log.nodes()[0].at, 5);
             });
+        });
+    }
+
+    /// The critical-path walk relies on marks being owner-sorted. That
+    /// holds across a restart too: when a second `Sim` begins under the
+    /// same collector, its executed counter starts again at 1 and the log
+    /// drops the first run's marks instead of appending lower owners
+    /// after higher ones.
+    #[test]
+    fn marks_stay_owner_sorted_when_a_second_sim_restarts_the_log() {
+        with_clean_state(|| {
+            let tel = enable();
+            let run = |events: u64| {
+                let mut sim = simcore::Sim::new(0);
+                for i in 0..events {
+                    sim.schedule_at(SimTime::from_nanos(100 * i + 10), |sim| {
+                        let mut lock = simcore::SimLock::new("ucp", 500, 200);
+                        lock.acquire(0, sim.now(), 50);
+                        lock.acquire(1, sim.now(), 50);
+                    });
+                }
+                sim.run();
+            };
+            run(5);
+            let first = tel.with_causal(|log| log.marks().len());
+            assert_eq!(first, 15, "three marks per event");
+            run(2);
+            disable();
+            tel.with_causal(|log| {
+                let owners: Vec<u64> = log.marks().iter().map(|m| m.owner).collect();
+                assert_eq!(owners, [1, 1, 1, 2, 2, 2], "only the second run's marks, in order");
+                assert_eq!((log.base(), log.node_count()), (1, 2));
+            });
+            let cp = tel.critpath("restart").expect("second run has a path");
+            assert_eq!(cp.total_ns, 110);
         });
     }
 

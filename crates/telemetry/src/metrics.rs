@@ -5,9 +5,9 @@
 //! allocates its node once on first touch, after which updates are
 //! allocation-free — the same discipline as `simcore::Stats`. Counter
 //! tracks (sampled time series destined for Perfetto counter tracks) are
-//! keyed by a `Copy` [`TrackKey`] in an [`FxMap`]: a sample formats no
-//! name and compares no strings, and names are rendered only at export,
-//! by [`Metrics::tracks`], which sorts them.
+//! keyed by a `Copy` [`TrackKey`] in an `FxMap` (see `fx.rs`): a sample
+//! formats no name and compares no strings, and names are rendered only
+//! at export, by [`Metrics::tracks`], which sorts them.
 
 use std::collections::BTreeMap;
 use std::fmt;
